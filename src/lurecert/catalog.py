@@ -4,12 +4,16 @@ Each builder returns an AffinePencil whose evaluation at a variable
 assignment equals the corresponding block matrix.  Analysis forms have the
 certificate matrix P as the only decision variable (gains fixed); synthesis
 forms are affine in (W, Z, K_psi) and yield gains via K = Z W^{-1}.
+
+One table, ``_FORMS``, holds the grid domain x class (monotone is lowered to
+sector) x form, plus the single-block continuous-time comparison form.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from .model import (
 from .pencil import AffinePencil, VariableLayout, pencil_from_function
 
 # Inequality tags.  "analysis" forms are in P; "synthesis" forms in (W, Z, K_psi).
+# ALL_TAGS, the `--theorem` choices, follows the row order of _FORMS below.
 CT_LIP_ANALYSIS = "CT-Lip-analysis"
 CT_LIP_SYNTHESIS = "CT-Lip-synthesis"
 DT_LIP_ANALYSIS = "DT-Lip-analysis"
@@ -38,19 +43,6 @@ CT_SEC_SYNTHESIS = "CT-Sec-synthesis"
 DT_SEC_ANALYSIS = "DT-Sec-analysis"
 DT_SEC_SYNTHESIS = "DT-Sec-synthesis"
 CT_LIP_CONSERVATIVE = "CT-Lip-conservative"
-
-ALL_TAGS = (
-    CT_LIP_ANALYSIS, CT_LIP_SYNTHESIS, DT_LIP_ANALYSIS, DT_LIP_SYNTHESIS,
-    CT_SEC_ANALYSIS, CT_SEC_SYNTHESIS, DT_SEC_ANALYSIS, DT_SEC_SYNTHESIS,
-    CT_LIP_CONSERVATIVE,
-)
-
-_ANALYSIS_TAGS = (CT_LIP_ANALYSIS, DT_LIP_ANALYSIS, CT_SEC_ANALYSIS, DT_SEC_ANALYSIS)
-_DT_TAGS = (DT_LIP_ANALYSIS, DT_LIP_SYNTHESIS, DT_SEC_ANALYSIS, DT_SEC_SYNTHESIS)
-_LIP_TAGS = (
-    CT_LIP_ANALYSIS, CT_LIP_SYNTHESIS, DT_LIP_ANALYSIS, DT_LIP_SYNTHESIS,
-    CT_LIP_CONSERVATIVE,
-)
 
 
 class PreconditionError(ValueError):
@@ -63,40 +55,8 @@ def lower_monotone(nc: Monotone) -> SectorBounded:
     return SectorBounded(gamma=nc.gamma, theta=linalg.inverse(nc.gamma))
 
 
-def _check_eta(eta: float, domain: str) -> float:
-    eta = float(eta)
-    if domain == DISCRETE:
-        if not 0 < eta < 1:
-            raise PreconditionError(
-                f"discrete-time contraction factor must satisfy 0 < eta < 1, got {eta}"
-            )
-    else:
-        if not eta > 0:
-            raise PreconditionError(f"contraction rate must be positive, got {eta}")
-    return eta
-
-
-def _check_lip_dims(nc: Lipschitz, n_y: int, n_psi: int):
-    if nc.n_y != n_y or nc.n_psi != n_psi:
-        raise linalg.DimensionError(
-            f"Lipschitz class dims ({nc.n_y}, {nc.n_psi}) do not match "
-            f"system dims ({n_y}, {n_psi})"
-        )
-
-
-def _check_sec_dims(nc: SectorBounded, n_y: int, n_psi: int):
-    if nc.n_y != n_y or nc.n_psi != n_psi:
-        raise linalg.DimensionError(
-            f"sector class dims ({nc.n_y}, {nc.n_psi}) do not match "
-            f"system dims ({n_y}, {n_psi})"
-        )
-
-
-def _require_bcl_nonzero(cl: ClosedLoop):
-    # The analysis forms need B_cl != 0 to pin down a positive multiplier.
-    if np.all(cl.B_cl == 0.0):
-        raise PreconditionError("analysis form requires B_cl != 0")
-
+# Block functions take (closed loop or system, class, eta) and return a
+# function of the decision variables, by group name, giving the block matrix.
 
 def build_ct_lip_analysis(cl: ClosedLoop, nc: Lipschitz, eta: float) -> AffinePencil:
     """Continuous-time Lipschitz analysis inequality, variable P.
@@ -105,26 +65,16 @@ def build_ct_lip_analysis(cl: ClosedLoop, nc: Lipschitz, eta: float) -> AffinePe
         [[<P A_cl> + 2 eta P + rho^2 C^T Theta_y C,  P B_cl],
          [B_cl^T P,                                  -Theta_psi]]
     """
-    if cl.domain != CONTINUOUS:
-        raise PreconditionError("continuous-time builder got a discrete-time loop")
-    eta = _check_eta(eta, CONTINUOUS)
-    _check_lip_dims(nc, cl.n_y, cl.n_psi)
-    _require_bcl_nonzero(cl)
-    const = nc.rho ** 2 * cl.C.T @ nc.theta_y @ cl.C
-    layout = VariableLayout([VariableLayout.sym("P", cl.n_x)])
+    return _build(CT_LIP_ANALYSIS, cl, nc, eta)
 
-    def blocks(v):
-        p = v["P"]
-        return linalg.assemble_sym(
-            [cl.n_x, cl.n_psi],
-            {
-                (0, 0): linalg.brack(p @ cl.A_cl) + 2 * eta * p + const,
-                (0, 1): p @ cl.B_cl,
-                (1, 1): -nc.theta_psi,
-            },
-        )
 
-    return pencil_from_function(layout, blocks)
+def _ct_lip_analysis(cl, nc, eta):
+    return lambda P: linalg.assemble_sym([cl.n_x, cl.n_psi], {
+        (0, 0): (linalg.brack(P @ cl.A_cl) + 2 * eta * P
+                 + nc.rho ** 2 * cl.C.T @ nc.theta_y @ cl.C),
+        (0, 1): P @ cl.B_cl,
+        (1, 1): -nc.theta_psi,
+    })
 
 
 def build_ct_lip_synthesis(sys: LureSystem, nc: Lipschitz, eta: float) -> AffinePencil:
@@ -136,33 +86,18 @@ def build_ct_lip_synthesis(sys: LureSystem, nc: Lipschitz, eta: float) -> Affine
          [C W,                    0,           -(1/rho^2) Theta_y^{-1}]]
     with B_cl = B_psi + B K_psi affine in K_psi.
     """
-    if sys.domain != CONTINUOUS:
-        raise PreconditionError("continuous-time builder got a discrete-time system")
-    eta = _check_eta(eta, CONTINUOUS)
-    _check_lip_dims(nc, sys.n_y, sys.n_psi)
-    _warn_bcl_identically_zero(sys)
+    return _build(CT_LIP_SYNTHESIS, sys, nc, eta)
+
+
+def _ct_lip_synthesis(sys, nc, eta):
     thy_inv = linalg.inverse(nc.theta_y) / nc.rho ** 2
-    layout = VariableLayout([
-        VariableLayout.sym("W", sys.n_x),
-        VariableLayout.mat("Z", sys.n_u, sys.n_x),
-        VariableLayout.mat("K_psi", sys.n_u, sys.n_psi),
-    ])
-
-    def blocks(v):
-        w, z, kp = v["W"], v["Z"], v["K_psi"]
-        b_cl = sys.B_psi + sys.B @ kp
-        return linalg.assemble_sym(
-            [sys.n_x, sys.n_psi, sys.n_y],
-            {
-                (0, 0): linalg.brack(sys.A @ w + sys.B @ z) + 2 * eta * w,
-                (0, 1): b_cl,
-                (0, 2): w @ sys.C.T,
-                (1, 1): -nc.theta_psi,
-                (2, 2): -thy_inv,
-            },
-        )
-
-    return pencil_from_function(layout, blocks)
+    return lambda W, Z, K_psi: linalg.assemble_sym([sys.n_x, sys.n_psi, sys.n_y], {
+        (0, 0): linalg.brack(sys.A @ W + sys.B @ Z) + 2 * eta * W,
+        (0, 1): sys.B_psi + sys.B @ K_psi,
+        (0, 2): W @ sys.C.T,
+        (1, 1): -nc.theta_psi,
+        (2, 2): -thy_inv,
+    })
 
 
 def build_dt_lip_analysis(cl: ClosedLoop, nc: Lipschitz, eta: float) -> AffinePencil:
@@ -173,26 +108,16 @@ def build_dt_lip_analysis(cl: ClosedLoop, nc: Lipschitz, eta: float) -> AffinePe
          [B_cl^T P A_cl,                  B_cl^T P B_cl - Theta_psi]]
     Quadratic in A_cl, B_cl but affine in P.
     """
-    if cl.domain != DISCRETE:
-        raise PreconditionError("discrete-time builder got a continuous-time loop")
-    eta = _check_eta(eta, DISCRETE)
-    _check_lip_dims(nc, cl.n_y, cl.n_psi)
-    _require_bcl_nonzero(cl)
-    const = nc.rho ** 2 * cl.C.T @ nc.theta_y @ cl.C
-    layout = VariableLayout([VariableLayout.sym("P", cl.n_x)])
+    return _build(DT_LIP_ANALYSIS, cl, nc, eta)
 
-    def blocks(v):
-        p = v["P"]
-        return linalg.assemble_sym(
-            [cl.n_x, cl.n_psi],
-            {
-                (0, 0): cl.A_cl.T @ p @ cl.A_cl - eta ** 2 * p + const,
-                (0, 1): cl.A_cl.T @ p @ cl.B_cl,
-                (1, 1): cl.B_cl.T @ p @ cl.B_cl - nc.theta_psi,
-            },
-        )
 
-    return pencil_from_function(layout, blocks)
+def _dt_lip_analysis(cl, nc, eta):
+    return lambda P: linalg.assemble_sym([cl.n_x, cl.n_psi], {
+        (0, 0): (cl.A_cl.T @ P @ cl.A_cl - eta ** 2 * P
+                 + nc.rho ** 2 * cl.C.T @ nc.theta_y @ cl.C),
+        (0, 1): cl.A_cl.T @ P @ cl.B_cl,
+        (1, 1): cl.B_cl.T @ P @ cl.B_cl - nc.theta_psi,
+    })
 
 
 def build_dt_lip_synthesis(sys: LureSystem, nc: Lipschitz, eta: float) -> AffinePencil:
@@ -204,41 +129,20 @@ def build_dt_lip_synthesis(sys: LureSystem, nc: Lipschitz, eta: float) -> Affine
          [C W,       0,           -(1/rho^2) Theta_y^{-1},  0],
          [A W + B Z, B_cl,        0,                        -W]]
     """
-    if sys.domain != DISCRETE:
-        raise PreconditionError("discrete-time builder got a continuous-time system")
-    eta = _check_eta(eta, DISCRETE)
-    _check_lip_dims(nc, sys.n_y, sys.n_psi)
-    _warn_bcl_identically_zero(sys)
+    return _build(DT_LIP_SYNTHESIS, sys, nc, eta)
+
+
+def _dt_lip_synthesis(sys, nc, eta):
     thy_inv = linalg.inverse(nc.theta_y) / nc.rho ** 2
-    layout = VariableLayout([
-        VariableLayout.sym("W", sys.n_x),
-        VariableLayout.mat("Z", sys.n_u, sys.n_x),
-        VariableLayout.mat("K_psi", sys.n_u, sys.n_psi),
-    ])
-
-    def blocks(v):
-        w, z, kp = v["W"], v["Z"], v["K_psi"]
-        b_cl = sys.B_psi + sys.B @ kp
-        awbz = sys.A @ w + sys.B @ z
-        return linalg.assemble_sym(
-            [sys.n_x, sys.n_psi, sys.n_y, sys.n_x],
-            {
-                (0, 0): -eta ** 2 * w,
-                (0, 2): w @ sys.C.T,
-                (0, 3): awbz.T,
-                (1, 1): -nc.theta_psi,
-                (1, 3): b_cl.T,
-                (2, 2): -thy_inv,
-                (3, 3): -w,
-            },
-        )
-
-    return pencil_from_function(layout, blocks)
-
-
-def _sector_g(c: np.ndarray, nc: SectorBounded) -> np.ndarray:
-    # G = C^T Gamma^T Theta, an (n_x, n_psi) coupling matrix.
-    return c.T @ nc.gamma.T @ nc.theta
+    return lambda W, Z, K_psi: linalg.assemble_sym([sys.n_x, sys.n_psi, sys.n_y, sys.n_x], {
+        (0, 0): -eta ** 2 * W,
+        (0, 2): W @ sys.C.T,
+        (0, 3): (sys.A @ W + sys.B @ Z).T,
+        (1, 1): -nc.theta_psi,
+        (1, 3): (sys.B_psi + sys.B @ K_psi).T,
+        (2, 2): -thy_inv,
+        (3, 3): -W,
+    })
 
 
 def build_ct_sector_analysis(cl: ClosedLoop, nc: SectorBounded, eta: float) -> AffinePencil:
@@ -249,25 +153,15 @@ def build_ct_sector_analysis(cl: ClosedLoop, nc: SectorBounded, eta: float) -> A
          [B_cl^T P + G^T,      -2 Theta]]
     with G = C^T Gamma^T Theta.
     """
-    if cl.domain != CONTINUOUS:
-        raise PreconditionError("continuous-time builder got a discrete-time loop")
-    eta = _check_eta(eta, CONTINUOUS)
-    _check_sec_dims(nc, cl.n_y, cl.n_psi)
-    g = _sector_g(cl.C, nc)
-    layout = VariableLayout([VariableLayout.sym("P", cl.n_x)])
+    return _build(CT_SEC_ANALYSIS, cl, nc, eta)
 
-    def blocks(v):
-        p = v["P"]
-        return linalg.assemble_sym(
-            [cl.n_x, cl.n_psi],
-            {
-                (0, 0): linalg.brack(p @ cl.A_cl) + 2 * eta * p,
-                (0, 1): p @ cl.B_cl + g,
-                (1, 1): -2 * nc.theta,
-            },
-        )
 
-    return pencil_from_function(layout, blocks)
+def _ct_sector_analysis(cl, nc, eta):
+    return lambda P: linalg.assemble_sym([cl.n_x, cl.n_psi], {
+        (0, 0): linalg.brack(P @ cl.A_cl) + 2 * eta * P,
+        (0, 1): P @ cl.B_cl + cl.C.T @ nc.gamma.T @ nc.theta,
+        (1, 1): -2 * nc.theta,
+    })
 
 
 def build_ct_sector_synthesis(sys: LureSystem, nc: SectorBounded, eta: float) -> AffinePencil:
@@ -277,31 +171,15 @@ def build_ct_sector_synthesis(sys: LureSystem, nc: SectorBounded, eta: float) ->
         [[<A W + B Z> + 2 eta W,  B_cl + W G],
          [(B_cl + W G)^T,         -2 Theta]]
     """
-    if sys.domain != CONTINUOUS:
-        raise PreconditionError("continuous-time builder got a discrete-time system")
-    eta = _check_eta(eta, CONTINUOUS)
-    _check_sec_dims(nc, sys.n_y, sys.n_psi)
-    _warn_bcl_identically_zero(sys)
-    g = _sector_g(sys.C, nc)
-    layout = VariableLayout([
-        VariableLayout.sym("W", sys.n_x),
-        VariableLayout.mat("Z", sys.n_u, sys.n_x),
-        VariableLayout.mat("K_psi", sys.n_u, sys.n_psi),
-    ])
+    return _build(CT_SEC_SYNTHESIS, sys, nc, eta)
 
-    def blocks(v):
-        w, z, kp = v["W"], v["Z"], v["K_psi"]
-        b_cl = sys.B_psi + sys.B @ kp
-        return linalg.assemble_sym(
-            [sys.n_x, sys.n_psi],
-            {
-                (0, 0): linalg.brack(sys.A @ w + sys.B @ z) + 2 * eta * w,
-                (0, 1): b_cl + w @ g,
-                (1, 1): -2 * nc.theta,
-            },
-        )
 
-    return pencil_from_function(layout, blocks)
+def _ct_sector_synthesis(sys, nc, eta):
+    return lambda W, Z, K_psi: linalg.assemble_sym([sys.n_x, sys.n_psi], {
+        (0, 0): linalg.brack(sys.A @ W + sys.B @ Z) + 2 * eta * W,
+        (0, 1): sys.B_psi + sys.B @ K_psi + W @ (sys.C.T @ nc.gamma.T @ nc.theta),
+        (1, 1): -2 * nc.theta,
+    })
 
 
 def build_dt_sector_analysis(cl: ClosedLoop, nc: SectorBounded, eta: float) -> AffinePencil:
@@ -311,25 +189,15 @@ def build_dt_sector_analysis(cl: ClosedLoop, nc: SectorBounded, eta: float) -> A
         [[A_cl^T P A_cl - eta^2 P,  A_cl^T P B_cl + G],
          [B_cl^T P A_cl + G^T,      B_cl^T P B_cl - 2 Theta]]
     """
-    if cl.domain != DISCRETE:
-        raise PreconditionError("discrete-time builder got a continuous-time loop")
-    eta = _check_eta(eta, DISCRETE)
-    _check_sec_dims(nc, cl.n_y, cl.n_psi)
-    g = _sector_g(cl.C, nc)
-    layout = VariableLayout([VariableLayout.sym("P", cl.n_x)])
+    return _build(DT_SEC_ANALYSIS, cl, nc, eta)
 
-    def blocks(v):
-        p = v["P"]
-        return linalg.assemble_sym(
-            [cl.n_x, cl.n_psi],
-            {
-                (0, 0): cl.A_cl.T @ p @ cl.A_cl - eta ** 2 * p,
-                (0, 1): cl.A_cl.T @ p @ cl.B_cl + g,
-                (1, 1): cl.B_cl.T @ p @ cl.B_cl - 2 * nc.theta,
-            },
-        )
 
-    return pencil_from_function(layout, blocks)
+def _dt_sector_analysis(cl, nc, eta):
+    return lambda P: linalg.assemble_sym([cl.n_x, cl.n_psi], {
+        (0, 0): cl.A_cl.T @ P @ cl.A_cl - eta ** 2 * P,
+        (0, 1): cl.A_cl.T @ P @ cl.B_cl + cl.C.T @ nc.gamma.T @ nc.theta,
+        (1, 1): cl.B_cl.T @ P @ cl.B_cl - 2 * nc.theta,
+    })
 
 
 def build_dt_sector_synthesis(sys: LureSystem, nc: SectorBounded, eta: float) -> AffinePencil:
@@ -340,35 +208,18 @@ def build_dt_sector_synthesis(sys: LureSystem, nc: SectorBounded, eta: float) ->
          [G^T W,      -2 Theta,  B_cl^T],
          [A W + B Z,  B_cl,      -W]]
     """
-    if sys.domain != DISCRETE:
-        raise PreconditionError("discrete-time builder got a continuous-time system")
-    eta = _check_eta(eta, DISCRETE)
-    _check_sec_dims(nc, sys.n_y, sys.n_psi)
-    _warn_bcl_identically_zero(sys)
-    g = _sector_g(sys.C, nc)
-    layout = VariableLayout([
-        VariableLayout.sym("W", sys.n_x),
-        VariableLayout.mat("Z", sys.n_u, sys.n_x),
-        VariableLayout.mat("K_psi", sys.n_u, sys.n_psi),
-    ])
+    return _build(DT_SEC_SYNTHESIS, sys, nc, eta)
 
-    def blocks(v):
-        w, z, kp = v["W"], v["Z"], v["K_psi"]
-        b_cl = sys.B_psi + sys.B @ kp
-        awbz = sys.A @ w + sys.B @ z
-        return linalg.assemble_sym(
-            [sys.n_x, sys.n_psi, sys.n_x],
-            {
-                (0, 0): -eta ** 2 * w,
-                (0, 1): w @ g,
-                (0, 2): awbz.T,
-                (1, 1): -2 * nc.theta,
-                (1, 2): b_cl.T,
-                (2, 2): -w,
-            },
-        )
 
-    return pencil_from_function(layout, blocks)
+def _dt_sector_synthesis(sys, nc, eta):
+    return lambda W, Z, K_psi: linalg.assemble_sym([sys.n_x, sys.n_psi, sys.n_x], {
+        (0, 0): -eta ** 2 * W,
+        (0, 1): W @ (sys.C.T @ nc.gamma.T @ nc.theta),
+        (0, 2): (sys.A @ W + sys.B @ Z).T,
+        (1, 1): -2 * nc.theta,
+        (1, 2): (sys.B_psi + sys.B @ K_psi).T,
+        (2, 2): -W,
+    })
 
 
 def build_ct_lip_conservative(sys: LureSystem, nc: Lipschitz, eta: float) -> AffinePencil:
@@ -392,38 +243,88 @@ def build_ct_lip_conservative(sys: LureSystem, nc: Lipschitz, eta: float) -> Aff
       infeasible, and psi(y) = rho [[0, 0], [1, 0]] y, which is in the
       class, gives A + rho [[0, 0], [1, 0]] an eigenvalue of +1.34.
     """
-    if sys.domain != CONTINUOUS:
-        raise PreconditionError("continuous-time builder got a discrete-time system")
-    eta = _check_eta(eta, CONTINUOUS)
-    n = sys.n_x
-    eye = np.eye(n)
-    if sys.n_y != n or sys.n_psi != n:
+    return _build(CT_LIP_CONSERVATIVE, sys, nc, eta)
+
+
+def _ct_lip_conservative(sys, nc, eta):
+    eye = np.eye(sys.n_x)
+    if sys.n_y != sys.n_x or sys.n_psi != sys.n_x:
         raise PreconditionError("conservative form requires n_x = n_y = n_psi")
     if not (np.array_equal(sys.B_psi, eye) and np.array_equal(sys.C, eye)):
         raise PreconditionError("conservative form requires B_psi = C = I")
     if not (np.array_equal(nc.theta_y, eye) and np.array_equal(nc.theta_psi, eye)):
         raise PreconditionError("conservative form requires Theta_y = Theta_psi = I")
-    layout = VariableLayout([
-        VariableLayout.sym("W", n),
-        VariableLayout.mat("Z", sys.n_u, n),
-    ])
-
-    def blocks(v):
-        w, z = v["W"], v["Z"]
-        return linalg.brack(sys.A @ w + sys.B @ z) + 2 * (eta + nc.rho) * w
-
-    return pencil_from_function(layout, blocks)
+    return lambda W, Z: linalg.brack(sys.A @ W + sys.B @ Z) + 2 * (eta + nc.rho) * W
 
 
-def _warn_bcl_identically_zero(sys: LureSystem):
-    # In synthesis forms B_cl = B_psi + B K_psi is variable; it can only be
-    # identically zero when both B_psi and B vanish.
-    if np.all(sys.B_psi == 0.0) and np.all(sys.B == 0.0):
-        warnings.warn(
-            "B_psi = 0 and B = 0: B_cl is identically zero, the synthesis "
-            "form degenerates",
-            stacklevel=3,
+def _group(name: str, m):
+    # P and W are symmetric n_x x n_x; Z = K W and K_psi are gains with n_u rows.
+    if name in ("P", "W"):
+        return VariableLayout.sym(name, m.n_x)
+    return VariableLayout.mat(name, m.n_u, m.n_x if name == "Z" else m.n_psi)
+
+
+class _Form(NamedTuple):
+    domain: str
+    cls: type              # Lipschitz or SectorBounded (monotone is lowered to it)
+    variables: tuple       # names of the variable groups, in layout order
+    blocks: Callable       # block function, see above
+
+    @property
+    def analysis(self) -> bool:
+        return self.variables == ("P",)
+
+
+# For each (domain, class, form) the first row is the one auto_tag selects;
+# the conservative row follows its full form.
+_FORMS = {
+    CT_LIP_ANALYSIS: _Form(CONTINUOUS, Lipschitz, ("P",), _ct_lip_analysis),
+    CT_LIP_SYNTHESIS: _Form(CONTINUOUS, Lipschitz, ("W", "Z", "K_psi"), _ct_lip_synthesis),
+    DT_LIP_ANALYSIS: _Form(DISCRETE, Lipschitz, ("P",), _dt_lip_analysis),
+    DT_LIP_SYNTHESIS: _Form(DISCRETE, Lipschitz, ("W", "Z", "K_psi"), _dt_lip_synthesis),
+    CT_SEC_ANALYSIS: _Form(CONTINUOUS, SectorBounded, ("P",), _ct_sector_analysis),
+    CT_SEC_SYNTHESIS: _Form(CONTINUOUS, SectorBounded, ("W", "Z", "K_psi"), _ct_sector_synthesis),
+    DT_SEC_ANALYSIS: _Form(DISCRETE, SectorBounded, ("P",), _dt_sector_analysis),
+    DT_SEC_SYNTHESIS: _Form(DISCRETE, SectorBounded, ("W", "Z", "K_psi"), _dt_sector_synthesis),
+    CT_LIP_CONSERVATIVE: _Form(CONTINUOUS, Lipschitz, ("W", "Z"), _ct_lip_conservative),
+}
+
+ALL_TAGS = tuple(_FORMS)
+
+
+def _check_domain(tag: str, m, eta: float) -> tuple[_Form, float]:
+    """Check that loop or system ``m`` and rate eta fit form ``tag``."""
+    form = _FORMS[tag]
+    if m.domain != form.domain:
+        raise PreconditionError(f"tag {tag} requires a {form.domain} model, got {m.domain}")
+    eta = float(eta)
+    if form.domain == DISCRETE and not 0 < eta < 1:
+        raise PreconditionError(
+            f"discrete-time contraction factor must satisfy 0 < eta < 1, got {eta}"
         )
+    if form.domain == CONTINUOUS and not eta > 0:
+        raise PreconditionError(f"contraction rate must be positive, got {eta}")
+    return form, eta
+
+
+def _build(tag: str, m, nc, eta: float) -> AffinePencil:
+    """Check and build form ``tag``; ``m`` is the closed loop for analysis
+    forms and the open-loop system for synthesis forms."""
+    form, eta = _check_domain(tag, m, eta)
+    if nc.n_y != m.n_y or nc.n_psi != m.n_psi:
+        raise linalg.DimensionError(f"class dims ({nc.n_y}, {nc.n_psi}) do not match "
+                                    f"system dims ({m.n_y}, {m.n_psi})")
+    if form.analysis:
+        # Lipschitz analysis needs B_cl != 0 to pin down a positive multiplier.
+        if form.cls is Lipschitz and np.all(m.B_cl == 0.0):
+            raise PreconditionError("analysis form requires B_cl != 0")
+    elif np.all(m.B_psi == 0.0) and np.all(m.B == 0.0):
+        # B_cl = B_psi + B K_psi is identically zero only when B_psi = B = 0.
+        warnings.warn("B_psi = 0 and B = 0: B_cl is identically zero, the "
+                      "synthesis form degenerates", stacklevel=3)
+    blocks = form.blocks(m, nc, eta)
+    return pencil_from_function(VariableLayout([_group(n, m) for n in form.variables]),
+                                lambda v: blocks(**v))
 
 
 @dataclass(frozen=True)
@@ -440,28 +341,17 @@ class LmiSpec:
     eta: float
 
     def __post_init__(self):
-        if self.tag not in ALL_TAGS:
+        if self.tag not in _FORMS:
             raise ValueError(f"unknown inequality tag {self.tag!r}")
-        domain = DISCRETE if self.tag in _DT_TAGS else CONTINUOUS
-        if self.system.domain != domain:
-            raise PreconditionError(
-                f"tag {self.tag} requires a {domain} system, got {self.system.domain}"
-            )
-        _check_eta(self.eta, domain)
-        if self.tag in _LIP_TAGS:
-            if not isinstance(self.nonlinearity, Lipschitz):
-                raise PreconditionError(
-                    f"tag {self.tag} requires a Lipschitz nonlinearity class"
-                )
-        else:
-            if not isinstance(self.nonlinearity, (SectorBounded, Monotone)):
-                raise PreconditionError(
-                    f"tag {self.tag} requires a sector-bounded or monotone class"
-                )
+        form, _ = _check_domain(self.tag, self.system, self.eta)
+        if not isinstance(self.effective_class(), form.cls):
+            wanted = ("a Lipschitz nonlinearity class" if form.cls is Lipschitz
+                      else "a sector-bounded or monotone class")
+            raise PreconditionError(f"tag {self.tag} requires {wanted}")
 
     @property
     def is_analysis(self) -> bool:
-        return self.tag in _ANALYSIS_TAGS
+        return _FORMS[self.tag].analysis
 
     def effective_class(self) -> NonlinearityClass:
         if isinstance(self.nonlinearity, Monotone):
@@ -470,36 +360,29 @@ class LmiSpec:
 
     def build(self, gains: Gains | None = None) -> AffinePencil:
         """Build the pencil; analysis tags require gains."""
-        nc = self.effective_class()
+        m = self.system
         if self.is_analysis:
             if gains is None:
                 raise PreconditionError(f"tag {self.tag} requires gains")
-            cl = close_loop(self.system, gains)
-            builder = {
-                CT_LIP_ANALYSIS: build_ct_lip_analysis,
-                DT_LIP_ANALYSIS: build_dt_lip_analysis,
-                CT_SEC_ANALYSIS: build_ct_sector_analysis,
-                DT_SEC_ANALYSIS: build_dt_sector_analysis,
-            }[self.tag]
-            return builder(cl, nc, self.eta)
-        builder = {
-            CT_LIP_SYNTHESIS: build_ct_lip_synthesis,
-            DT_LIP_SYNTHESIS: build_dt_lip_synthesis,
-            CT_SEC_SYNTHESIS: build_ct_sector_synthesis,
-            DT_SEC_SYNTHESIS: build_dt_sector_synthesis,
-            CT_LIP_CONSERVATIVE: build_ct_lip_conservative,
-        }[self.tag]
-        return builder(self.system, nc, self.eta)
+            m = close_loop(self.system, gains)
+        return _build(self.tag, m, self.effective_class(), self.eta)
 
 
 def auto_tag(system: LureSystem, nc: NonlinearityClass, analysis: bool) -> str:
     """Select the inequality tag from (domain, nonlinearity variant)."""
-    dt = system.domain == DISCRETE
-    lip = isinstance(nc, Lipschitz)
-    if analysis:
-        if lip:
-            return DT_LIP_ANALYSIS if dt else CT_LIP_ANALYSIS
-        return DT_SEC_ANALYSIS if dt else CT_SEC_ANALYSIS
-    if lip:
-        return DT_LIP_SYNTHESIS if dt else CT_LIP_SYNTHESIS
-    return DT_SEC_SYNTHESIS if dt else CT_SEC_SYNTHESIS
+    cls = Lipschitz if isinstance(nc, Lipschitz) else SectorBounded
+    return next(tag for tag, form in _FORMS.items()
+                if (form.domain, form.cls, form.analysis)
+                == (system.domain, cls, bool(analysis)))
+
+
+def analysis_margin(spec: LmiSpec, gains: Gains, p) -> float:
+    """lambda_max of the analysis form matching ``spec`` at P = ``p`` for the
+    loop closed with ``gains``: the re-audit of a synthesis result at P = W^{-1}.
+    By the change of variables (Boyd et al., 1994) it is negative whenever a
+    grid synthesis form holds strictly at W; the conservative form has no such
+    guarantee."""
+    tag = auto_tag(spec.system, spec.nonlinearity, analysis=True)
+    a_spec = LmiSpec(tag=tag, system=spec.system, nonlinearity=spec.nonlinearity,
+                     eta=spec.eta)
+    return float(linalg.eigvals_sym(a_spec.build(gains).evaluate({"P": p}))[-1])

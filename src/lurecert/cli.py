@@ -17,9 +17,9 @@ import time
 import numpy as np
 
 from . import __version__, linalg
-from .catalog import ALL_TAGS, LmiSpec, PreconditionError, auto_tag
+from .catalog import ALL_TAGS, LmiSpec, PreconditionError, analysis_margin, auto_tag
 from .demo import run_demo
-from .model import DISCRETE, Gains, Lipschitz, Monotone, SectorBounded, close_loop, recover_gains
+from .model import DISCRETE, Lipschitz, Monotone, SectorBounded, close_loop, recover_gains
 from .nonlin import (
     SampleScheme,
     check_lipschitz_incremental,
@@ -28,8 +28,8 @@ from .nonlin import (
 )
 from .problemio import ProblemFileError, load_problem, write_report
 from .psilib import get_builtin
-from .simulate import rate_estimate, simulate_ct, simulate_dt, write_trajectory_csv
-from .solver import FEASIBLE, INFEASIBLE, FeasibilityProblem, SolveOptions, solve
+from .simulate import sweep_pairs, write_trajectory_csv
+from .solver import FEASIBLE, INFEASIBLE, UNDETERMINED, FeasibilityProblem, SolveOptions, solve
 from .svgplot import Series, write_line_plot
 
 EXIT_OK = 0
@@ -74,6 +74,15 @@ def _status_exit(status: str) -> int:
     return EXIT_UNDETERMINED
 
 
+def _solve_analysis(problem, args, tag: str):
+    """Solve the analysis inequality ``tag`` in P for the problem's gains."""
+    spec = LmiSpec(tag=tag, system=problem.system,
+                   nonlinearity=problem.nonlinearity, eta=problem.eta)
+    prob = FeasibilityProblem(pencil=spec.build(problem.gains),
+                              positivity=(("P", None),), trace_normalize=("P",))
+    return solve(prob, _solve_options(problem, args))
+
+
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     problem = load_problem(args.problem)
@@ -83,12 +92,7 @@ def cmd_analyze(args) -> int:
         return EXIT_USAGE
     tag = (args.theorem if args.theorem != "auto"
            else auto_tag(problem.system, problem.nonlinearity, analysis=True))
-    spec = LmiSpec(tag=tag, system=problem.system,
-                   nonlinearity=problem.nonlinearity, eta=problem.eta)
-    pencil = spec.build(problem.gains)
-    prob = FeasibilityProblem(pencil=pencil, positivity=(("P", None),),
-                              trace_normalize=("P",))
-    result = solve(prob, _solve_options(problem, args))
+    result = _solve_analysis(problem, args, tag)
     payload = {
         "theorem": tag,
         "eta": problem.eta,
@@ -108,8 +112,7 @@ def cmd_synthesize(args) -> int:
            else auto_tag(problem.system, problem.nonlinearity, analysis=False))
     spec = LmiSpec(tag=tag, system=problem.system,
                    nonlinearity=problem.nonlinearity, eta=problem.eta)
-    pencil = spec.build()
-    prob = FeasibilityProblem(pencil=pencil, positivity=(("W", None),))
+    prob = FeasibilityProblem(pencil=spec.build(), positivity=(("W", None),))
     result = solve(prob, _solve_options(problem, args))
     payload = {
         "theorem": tag,
@@ -117,7 +120,8 @@ def cmd_synthesize(args) -> int:
         "margin": result.margin,
         "iterations": result.iterations,
     }
-    if result.status == FEASIBLE:
+    status = result.status
+    if status == FEASIBLE:
         w = result.witness["W"]
         k_psi = result.witness.get("K_psi", np.zeros((problem.system.n_u,
                                                       problem.system.n_psi)))
@@ -125,17 +129,16 @@ def cmd_synthesize(args) -> int:
         payload["W"] = w
         payload["K"] = gains.K
         payload["K_psi"] = gains.K_psi
-        # re-audit the matching analysis inequality at P = W^{-1}
-        a_tag = auto_tag(problem.system, problem.nonlinearity, analysis=True)
-        a_spec = LmiSpec(tag=a_tag, system=problem.system,
-                         nonlinearity=problem.nonlinearity, eta=problem.eta)
         p = linalg.inverse(w)
-        a_lmax = float(linalg.eigvals_sym(
-            a_spec.build(gains).evaluate({"P": p}))[-1])
         payload["P"] = p
-        payload["analysis_margin"] = a_lmax
-    _emit(args, "synthesize", problem.digest, result.status, payload, t0)
-    return _status_exit(result.status)
+        payload["analysis_margin"] = analysis_margin(spec, gains, p)
+        if payload["analysis_margin"] >= 0:
+            # the gains fail the matching analysis form: nothing is certified
+            status = UNDETERMINED
+            payload["reason"] = ("the analysis re-audit at P = W^{-1} fails: "
+                                 "analysis_margin >= 0")
+    _emit(args, "synthesize", problem.digest, status, payload, t0)
+    return _status_exit(status)
 
 
 def _psi_for_problem(problem, name: str):
@@ -174,13 +177,8 @@ def cmd_simulate(args) -> int:
                   rng.uniform(-1, 1, problem.system.n_x))]
 
     # measure contraction against a certificate P from the analysis solve
-    tag = auto_tag(problem.system, problem.nonlinearity, analysis=True)
-    spec = LmiSpec(tag=tag, system=problem.system,
-                   nonlinearity=problem.nonlinearity, eta=problem.eta)
-    result = solve(FeasibilityProblem(pencil=spec.build(problem.gains),
-                                      positivity=(("P", None),),
-                                      trace_normalize=("P",)),
-                   _solve_options(problem, args))
+    result = _solve_analysis(
+        problem, args, auto_tag(problem.system, problem.nonlinearity, analysis=True))
     p = result.witness["P"] if result.status == FEASIBLE else np.eye(problem.system.n_x)
 
     cl = close_loop(problem.system, problem.gains)
@@ -189,31 +187,24 @@ def cmd_simulate(args) -> int:
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
     max_ratio = -np.inf
     max_energy = -np.inf
-    for pi, psi in enumerate(psis):
-        for qi, (x0a, x0b) in enumerate(pairs):
-            if discrete:
-                t1 = simulate_dt(cl, psi, x0a, steps)
-                t2 = simulate_dt(cl, psi, x0b, steps)
-            else:
-                t1 = simulate_ct(cl, psi, x0a, t_end, dt)
-                t2 = simulate_ct(cl, psi, x0b, t_end, dt)
-            rep = rate_estimate(t1, t2, p, eta=problem.eta)
-            max_ratio = max(max_ratio, rep.max_ratio)
-            max_energy = max(max_energy, rep.max_energy_ratio)
-            rate_rows.append({"psi": psi.name, "pair": qi,
-                              "max_ratio": rep.max_ratio,
-                              "max_energy_ratio": rep.max_energy_ratio})
-            if args.csv:
-                os.makedirs(args.csv, exist_ok=True)
-                write_trajectory_csv(
-                    t1, os.path.join(args.csv, f"{psi.name}_pair{qi}_a.csv"))
-                write_trajectory_csv(
-                    t2, os.path.join(args.csv, f"{psi.name}_pair{qi}_b.csv"))
-            color = palette[pi % len(palette)]
-            series.append(Series(x=t1.times, y=t1.states[:, 0], color=color,
-                                 dashed=False, label=f"{psi.name} a"))
-            series.append(Series(x=t2.times, y=t2.states[:, 0], color=color,
-                                 dashed=True, label=f"{psi.name} b"))
+    sweep = sweep_pairs(cl, psis, pairs, p, problem.eta, steps, t_end, dt)
+    for n, (psi, qi, t1, t2, rep) in enumerate(sweep):
+        max_ratio = max(max_ratio, rep.max_ratio)
+        max_energy = max(max_energy, rep.max_energy_ratio)
+        rate_rows.append({"psi": psi.name, "pair": qi,
+                          "max_ratio": rep.max_ratio,
+                          "max_energy_ratio": rep.max_energy_ratio})
+        if args.csv:
+            os.makedirs(args.csv, exist_ok=True)
+            write_trajectory_csv(
+                t1, os.path.join(args.csv, f"{psi.name}_pair{qi}_a.csv"))
+            write_trajectory_csv(
+                t2, os.path.join(args.csv, f"{psi.name}_pair{qi}_b.csv"))
+        color = palette[n // len(pairs) % len(palette)]  # one colour per psi
+        series.append(Series(x=t1.times, y=t1.states[:, 0], color=color,
+                             dashed=False, label=f"{psi.name} a"))
+        series.append(Series(x=t2.times, y=t2.states[:, 0], color=color,
+                             dashed=True, label=f"{psi.name} b"))
     if args.plot:
         write_line_plot(args.plot, series, title="First state trajectories",
                         xlabel="k" if discrete else "t", ylabel="x1")
@@ -259,7 +250,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_demo_paper(args) -> int:
-    t0 = time.perf_counter()
     out_dir = args.out or "demo-out"
     try:
         summary = run_demo(out_dir=out_dir)
@@ -281,7 +271,6 @@ def cmd_demo_paper(args) -> int:
         print(json.dumps({k: np.asarray(v).tolist() if isinstance(v, np.ndarray)
                           else v for k, v in payload.items()}, indent=2,
                          default=lambda o: np.asarray(o).tolist()))
-    del t0
     return EXIT_OK if summary.ok else EXIT_NEGATIVE
 
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .catalog import DT_LIP_ANALYSIS, DT_LIP_SYNTHESIS, LmiSpec
+from .catalog import DT_LIP_SYNTHESIS, LmiSpec, analysis_margin
 from .model import DISCRETE, Gains, Lipschitz, LureSystem, close_loop, recover_gains
 from .psilib import paper_psi
-from .simulate import rate_estimate, simulate_dt, write_trajectory_csv
+from .simulate import sweep_pairs, write_trajectory_csv
 from .solver import FeasibilityProblem, audit
 from .svgplot import Series, write_line_plot
 
@@ -97,21 +97,18 @@ def run_demo(out_dir=None, data: DemoData = None) -> DemoSummary:
 
     # 3. the matching analysis inequality holds at P = W^{-1}
     p = linalg.inverse(data.W)
-    a_spec = LmiSpec(tag=DT_LIP_ANALYSIS, system=sys, nonlinearity=nc, eta=data.eta)
-    a_lmax = float(linalg.eigvals_sym(a_spec.build(gains).evaluate({"P": p}))[-1])
+    a_lmax = analysis_margin(spec, gains, p)
 
     # 4. trajectories and observed contraction
     cl = close_loop(sys, gains)
+    psis = [paper_psi(idx) for idx in (1, 2, 3)]
     x0a, x0b = (np.array(v) for v in data.x0_pair)
     per_psi = {}
     max_energy = -np.inf
     max_ratio = -np.inf
     trajectories = []
-    for idx in (1, 2, 3):
-        psi = paper_psi(idx)
-        t1 = simulate_dt(cl, psi, x0a, data.steps)
-        t2 = simulate_dt(cl, psi, x0b, data.steps)
-        rep = rate_estimate(t1, t2, p, eta=data.eta)
+    sweep = sweep_pairs(cl, psis, [(x0a, x0b)], p, data.eta, steps=data.steps)
+    for psi, _, t1, t2, rep in sweep:
         per_psi[psi.name] = rep.max_energy_ratio
         max_energy = max(max_energy, rep.max_energy_ratio)
         max_ratio = max(max_ratio, rep.max_ratio)

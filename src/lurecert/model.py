@@ -7,7 +7,7 @@ continuous-time and discrete-time settings, distinguished by a domain tag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np

@@ -8,13 +8,13 @@ violation, so sampling artifacts are never reported as findings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import linalg
-from .model import Lipschitz, Monotone, NonlinearFn, SectorBounded
+from .model import Lipschitz, NonlinearFn, SectorBounded
 
 NO_VIOLATION = "no-violation-found"
 VIOLATED = "violated"
@@ -86,13 +86,13 @@ def _jac(psi: NonlinearFn, y) -> np.ndarray:
     return j if j is not None else jacobian_fd(psi, y)
 
 
-def _finish(margins: np.ndarray, witnesses, recheck) -> CheckReport:
-    """Pick the worst sample; confirm a violation by re-evaluation."""
+def _finish(margins: np.ndarray, witnesses, recheck, tol: float = MARGIN_TOL) -> CheckReport:
+    """Pick the worst sample; confirm a violation above ``tol`` by re-evaluation."""
     worst = int(np.argmax(margins))
     worst_margin = float(margins[worst])
-    if worst_margin > MARGIN_TOL:
+    if worst_margin > tol:
         witness = witnesses(worst)
-        if recheck(witness) > MARGIN_TOL:
+        if recheck(witness) > tol:
             return CheckReport(VIOLATED, worst_margin, witness, len(margins))
     return CheckReport(NO_VIOLATION, worst_margin, None, len(margins))
 
@@ -210,12 +210,7 @@ def check_symmetry(psi: NonlinearFn, sch: SampleScheme) -> CheckReport:
     # finite differences leave O(step) asymmetry noise; use a looser gate
     tol = MARGIN_TOL if psi.jacobian is not None else 1e-6
     margins = np.array([margin(ys[i]) for i in range(sch.count)])
-    worst = int(np.argmax(margins))
-    if margins[worst] > tol:
-        w = (ys[worst],)
-        if margin(w[0]) > tol:
-            return CheckReport(VIOLATED, float(margins[worst]), w, sch.count)
-    return CheckReport(NO_VIOLATION, float(margins[worst]), None, sch.count)
+    return _finish(margins, lambda i: (ys[i],), lambda w: margin(w[0]), tol)
 
 
 def lemma3_equivalence(s, gamma, tol: float = linalg.TOL_PSD) -> tuple[bool, bool]:

@@ -181,6 +181,20 @@ class CertifyReport:
     details: list = field(default_factory=list)
 
 
+def sweep_pairs(cl: ClosedLoop, psis: Iterable[NonlinearFn], pairs, p, eta: float,
+                steps: int = 10, t_end: float = 10.0, dt: float = 1e-3):
+    """Simulate both trajectories of each initial pair under each psi and
+    measure their contraction under ||.||_P.
+
+    Yields (psi, pair index, trajectory a, trajectory b, RateReport).
+    """
+    sim, grid = (simulate_dt, (steps,)) if cl.domain == DISCRETE else (simulate_ct, (t_end, dt))
+    for psi in psis:
+        for i, (x0a, x0b) in enumerate(pairs):
+            ta, tb = sim(cl, psi, x0a, *grid), sim(cl, psi, x0b, *grid)
+            yield psi, i, ta, tb, rate_estimate(ta, tb, p, eta=eta)
+
+
 def certify_empirically(sys: LureSystem, gains: Gains, psis: Iterable[NonlinearFn],
                         p, eta: float, initial_pairs=None, steps: int = 10,
                         t_end: float = 10.0, dt: float = 1e-3,
@@ -207,19 +221,10 @@ def certify_empirically(sys: LureSystem, gains: Gains, psis: Iterable[NonlinearF
         threshold = float(np.exp(-eta * dt))
     worst = -np.inf
     details = []
-    for psi in psis:
-        for x0a, x0b in initial_pairs:
-            if np.allclose(x0a, x0b):
-                continue
-            if cl.domain == DISCRETE:
-                t1 = simulate_dt(cl, psi, x0a, steps)
-                t2 = simulate_dt(cl, psi, x0b, steps)
-            else:
-                t1 = simulate_ct(cl, psi, x0a, t_end, dt)
-                t2 = simulate_ct(cl, psi, x0b, t_end, dt)
-            rep = rate_estimate(t1, t2, p, eta=eta)
-            worst = max(worst, rep.max_ratio)
-            details.append((psi.name, rep.max_ratio))
+    pairs = [(a, b) for a, b in initial_pairs if not np.allclose(a, b)]
+    for psi, _, _, _, rep in sweep_pairs(cl, psis, pairs, p, eta, steps, t_end, dt):
+        worst = max(worst, rep.max_ratio)
+        details.append((psi.name, rep.max_ratio))
     passed = worst <= threshold * (1.0 + tol)
     return CertifyReport(passed=passed, worst_ratio=float(worst),
                          threshold=threshold, details=details)

@@ -7,6 +7,7 @@ import pytest
 
 from lurecert import linalg
 from lurecert.catalog import (
+    ALL_TAGS,
     CT_LIP_ANALYSIS,
     CT_LIP_CONSERVATIVE,
     CT_LIP_SYNTHESIS,
@@ -470,5 +471,18 @@ class TestAutoTag:
         assert auto_tag(ct, lip, analysis=True) == CT_LIP_ANALYSIS
         assert auto_tag(ct, lip, analysis=False) == CT_LIP_SYNTHESIS
         assert auto_tag(dt, sec, analysis=True) == DT_SEC_ANALYSIS
+        assert auto_tag(dt, sec, analysis=False) == DT_SEC_SYNTHESIS
+        assert auto_tag(ct, sec, analysis=True) == CT_SEC_ANALYSIS
         assert auto_tag(ct, sec, analysis=False) == CT_SEC_SYNTHESIS
         assert auto_tag(ct, mono, analysis=True) == CT_SEC_ANALYSIS
+        assert auto_tag(ct, mono, analysis=False) == CT_SEC_SYNTHESIS
+        assert auto_tag(dt, mono, analysis=True) == DT_SEC_ANALYSIS
+        assert auto_tag(dt, mono, analysis=False) == DT_SEC_SYNTHESIS
+
+    def test_all_tags_order(self):
+        # the order of the `--theorem` choices
+        assert ALL_TAGS == (
+            "CT-Lip-analysis", "CT-Lip-synthesis", "DT-Lip-analysis",
+            "DT-Lip-synthesis", "CT-Sec-analysis", "CT-Sec-synthesis",
+            "DT-Sec-analysis", "DT-Sec-synthesis", "CT-Lip-conservative",
+        )

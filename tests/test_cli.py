@@ -145,6 +145,31 @@ class TestSynthesizeCommand:
         # the designed gains must satisfy the analysis form at P = W^{-1}
         assert doc["analysis_margin"] <= 0
 
+    def test_failed_reaudit_is_undetermined(self, tmp_path):
+        # The single-block form is feasible here but certifies nothing: the
+        # loop is not contractive for every member of the class, and the
+        # analysis re-audit at P = W^{-1} fails.
+        doc = {
+            "schema_version": 1,
+            "system": {"A": [[-0.9, 10.0], [0.0, -0.9]], "B": [[0.0], [0.0]],
+                       "B_psi": [[1.0, 0.0], [0.0, 1.0]],
+                       "C": [[1.0, 0.0], [0.0, 1.0]], "domain": "continuous"},
+            "nonlinearity": {"variant": "lipschitz", "rho": 0.5,
+                             "theta_y": [[1.0, 0.0], [0.0, 1.0]],
+                             "theta_psi": [[1.0, 0.0], [0.0, 1.0]]},
+            "eta": 0.3,
+        }
+        path = write_problem(tmp_path, doc)
+        out = tmp_path / "report.json"
+        code = main(["synthesize", path, "--theorem", "CT-Lip-conservative",
+                     "--out", str(out), "--quiet"])
+        assert code == 3
+        report = json.loads(out.read_text())
+        assert report["status"] == "undetermined"
+        assert report["analysis_margin"] >= 0
+        assert "reason" in report
+        assert "W" in report and "K" in report
+
     def test_infeasible_synthesis(self, tmp_path):
         # the scalar unstable plant has no control input, so no gain helps
         path = write_problem(tmp_path, SCALAR_INFEASIBLE)
@@ -167,6 +192,12 @@ class TestSimulateCommand:
         assert doc["max_ratio"] <= 0.9
         assert (csv_dir / "paper1_pair0_a.csv").exists()
         assert plot.read_text().startswith("<svg")
+
+    def test_coincident_pair_is_a_usage_error(self, tmp_path):
+        path = write_problem(tmp_path, REFERENCE_PROBLEM)
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps([[[1, 1, 1], [1, 1, 1]]]))
+        assert main(["simulate", path, "--pairs", str(pairs), "--quiet"]) == 1
 
     def test_seed_determinism(self, tmp_path):
         path = write_problem(tmp_path, REFERENCE_PROBLEM)

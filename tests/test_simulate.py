@@ -214,6 +214,14 @@ class TestCertifyEmpirically:
         assert rep.worst_ratio <= 0.9
         assert len(rep.details) == 3
 
+    def test_coincident_pair_is_skipped(self):
+        sys, gains, p = self.reference()
+        psis = [paper_psi(i) for i in (1, 2, 3)]
+        pairs = [(np.ones(3), np.ones(3)), (np.ones(3), -np.ones(3))]
+        rep = certify_empirically(sys, gains, psis, p, eta=0.9, initial_pairs=pairs)
+        assert rep.passed
+        assert [name for name, _ in rep.details] == ["paper1", "paper2", "paper3"]
+
     def test_fails_for_overly_optimistic_rate(self):
         sys, gains, p = self.reference()
         rep = certify_empirically(sys, gains, [paper_psi(1)], p, eta=0.3,
