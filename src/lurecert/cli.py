@@ -74,10 +74,22 @@ def _status_exit(status: str) -> int:
     return EXIT_UNDETERMINED
 
 
-def _solve_analysis(problem, args, tag: str):
-    """Solve the analysis inequality ``tag`` in P for the problem's gains."""
+def _spec(problem, tag: str, analysis: bool):
+    """The inequality ``tag`` for the problem, or None after a usage message
+    when ``tag`` is not of the kind (analysis or synthesis) the command takes."""
     spec = LmiSpec(tag=tag, system=problem.system,
                    nonlinearity=problem.nonlinearity, eta=problem.eta)
+    if spec.is_analysis != analysis:
+        kind, command = (("an analysis", "analyze") if spec.is_analysis
+                         else ("a synthesis", "synthesize"))
+        print(f"error: --theorem {tag} is {kind} form; use `lurecert {command}`",
+              file=sys.stderr)
+        return None
+    return spec
+
+
+def _solve_analysis(problem, args, spec: LmiSpec):
+    """Solve the analysis inequality ``spec`` in P for the problem's gains."""
     prob = FeasibilityProblem(pencil=spec.build(problem.gains),
                               positivity=(("P", None),), trace_normalize=("P",))
     return solve(prob, _solve_options(problem, args))
@@ -92,7 +104,10 @@ def cmd_analyze(args) -> int:
         return EXIT_USAGE
     tag = (args.theorem if args.theorem != "auto"
            else auto_tag(problem.system, problem.nonlinearity, analysis=True))
-    result = _solve_analysis(problem, args, tag)
+    spec = _spec(problem, tag, analysis=True)
+    if spec is None:
+        return EXIT_USAGE
+    result = _solve_analysis(problem, args, spec)
     payload = {
         "theorem": tag,
         "eta": problem.eta,
@@ -110,8 +125,9 @@ def cmd_synthesize(args) -> int:
     problem = load_problem(args.problem)
     tag = (args.theorem if args.theorem != "auto"
            else auto_tag(problem.system, problem.nonlinearity, analysis=False))
-    spec = LmiSpec(tag=tag, system=problem.system,
-                   nonlinearity=problem.nonlinearity, eta=problem.eta)
+    spec = _spec(problem, tag, analysis=False)
+    if spec is None:
+        return EXIT_USAGE
     prob = FeasibilityProblem(pencil=spec.build(), positivity=(("W", None),))
     result = solve(prob, _solve_options(problem, args))
     payload = {
@@ -125,18 +141,24 @@ def cmd_synthesize(args) -> int:
         w = result.witness["W"]
         k_psi = result.witness.get("K_psi", np.zeros((problem.system.n_u,
                                                       problem.system.n_psi)))
-        gains = recover_gains(w, result.witness["Z"], k_psi)
         payload["W"] = w
-        payload["K"] = gains.K
-        payload["K_psi"] = gains.K_psi
-        p = linalg.inverse(w)
-        payload["P"] = p
-        payload["analysis_margin"] = analysis_margin(spec, gains, p)
-        if payload["analysis_margin"] >= 0:
-            # the gains fail the matching analysis form: nothing is certified
+        try:
+            gains = recover_gains(w, result.witness["Z"], k_psi)
+            p = linalg.inverse(w)
+        except linalg.SingularMatrixError as exc:
+            # no gains can be recovered, so nothing is certified
             status = UNDETERMINED
-            payload["reason"] = ("the analysis re-audit at P = W^{-1} fails: "
-                                 "analysis_margin >= 0")
+            payload["reason"] = f"cannot recover K = Z W^{{-1}}: {exc}"
+        else:
+            payload["K"] = gains.K
+            payload["K_psi"] = gains.K_psi
+            payload["P"] = p
+            payload["analysis_margin"] = analysis_margin(spec, gains, p)
+            if payload["analysis_margin"] >= 0:
+                # the gains fail the matching analysis form: nothing is certified
+                status = UNDETERMINED
+                payload["reason"] = ("the analysis re-audit at P = W^{-1} fails: "
+                                     "analysis_margin >= 0")
     _emit(args, "synthesize", problem.digest, status, payload, t0)
     return _status_exit(status)
 
@@ -177,8 +199,9 @@ def cmd_simulate(args) -> int:
                   rng.uniform(-1, 1, problem.system.n_x))]
 
     # measure contraction against a certificate P from the analysis solve
-    result = _solve_analysis(
-        problem, args, auto_tag(problem.system, problem.nonlinearity, analysis=True))
+    result = _solve_analysis(problem, args, _spec(
+        problem, auto_tag(problem.system, problem.nonlinearity, analysis=True),
+        analysis=True))
     p = result.witness["P"] if result.status == FEASIBLE else np.eye(problem.system.n_x)
 
     cl = close_loop(problem.system, problem.gains)

@@ -164,35 +164,6 @@ def is_psd(m, tol: float = TOL_PSD) -> tuple[bool, float]:
     return ok, -lmax
 
 
-def schur_complement(m, split: int) -> np.ndarray:
-    """Schur complement A - B D^{-1} B^T of M = [[A, B], [B^T, D]].
-
-    ``split`` is the size of the leading block A.  D must be invertible.
-    """
-    s = as_sym(m, "schur_complement input")
-    n = s.shape[0]
-    if not 0 < split < n:
-        raise DimensionError(f"split {split} out of range for dim {n}")
-    a = s[:split, :split]
-    b = s[:split, split:]
-    d = s[split:, split:]
-    d_inv_bt = solve(d, b.T)
-    comp = a - b @ d_inv_bt
-    return 0.5 * (comp + comp.T)
-
-
-def congruence(m, t) -> np.ndarray:
-    """Congruence transformation T^T M T."""
-    s = as_sym(m, "congruence input")
-    t = as_matrix(t, "congruence transform")
-    if t.shape[0] != s.shape[0]:
-        raise DimensionError(
-            f"transform rows {t.shape[0]} do not match matrix dim {s.shape[0]}"
-        )
-    out = t.T @ s @ t
-    return 0.5 * (out + out.T)
-
-
 def inverse(m) -> np.ndarray:
     """Inverse of a square, well-conditioned matrix."""
     a = as_matrix(m, "inverse input")

@@ -83,6 +83,13 @@ class FeasibilityProblem:
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Solver settings.
+
+    seed is inert: the solver is deterministic and only echoes it into
+    FeasibilityResult.diagnostics.  It stays because the problem schema
+    accepts ``solver.seed``.
+    """
+
     margin_min: float = 1e-9
     max_iter: int = 500
     seed: int = 0
@@ -138,8 +145,12 @@ def audit(prob: FeasibilityProblem, witness: dict,
 
 
 class _BarrierModel:
-    """Constraint blocks S_b(z) = -(C_b + sum_i z_i A_b[i]) > 0 in the
-    reduced variables z = (xi, t)."""
+    """Log-det barrier over the reduced variables z = (xi, t).
+
+    LMI blocks S_b(z) = -(C_b + sum_i z_i A_b[i]) > 0 (the pencil with the
+    margin t, then the positivity groups), and the coordinate box as one
+    linear block s(z) = b - G z > 0.
+    """
 
     def __init__(self, prob: FeasibilityProblem):
         layout = prob.pencil.layout
@@ -192,7 +203,7 @@ class _BarrierModel:
         self.p = nullspace.shape[1]
         self.nz = self.p + 1  # xi plus the margin variable t
 
-        # Blocks: (constant, coefficient stack over z).
+        # LMI blocks: (constant, coefficient stack over z).
         blocks = []
 
         def reduce_coeffs(const, coeffs, with_t=False):
@@ -224,70 +235,97 @@ class _BarrierModel:
                     idx += 1
             blocks.append(reduce_coeffs(eps * np.eye(dim), coeffs))
 
-        # coordinate box: |x_i| <= box * hint(group of i)
-        radii = np.empty(n)
-        for name, grp in layout.groups.items():
-            radii[layout.group_slice(name)] = prob.box * prob.hint(name)
-        for i in range(n):
-            coeffs = np.zeros((n, 1, 1))
-            coeffs[i, 0, 0] = 1.0
-            blocks.append(reduce_coeffs(np.array([[-radii[i]]]), coeffs))
-            coeffs = np.zeros((n, 1, 1))
-            coeffs[i, 0, 0] = -1.0
-            blocks.append(reduce_coeffs(np.array([[-radii[i]]]), coeffs))
-
         self.blocks = blocks
-        self.nu = sum(c.shape[0] for c, _ in blocks)
+        # whitened coefficients Y = L^{-1} A L^{-T}, rewritten by barrier()
+        self._y = [np.empty_like(a) for _, a in blocks]
+        # L^{-1} of each block at the last barrier() point, for max_step()
+        self._linv = [None] * len(blocks)
+
+        # coordinate box |x_i| <= box * hint(group of i), both sides:
+        # slack b - G z with G = [N, 0; -N, 0]
+        radii = np.empty(n)
+        for name in layout.groups:
+            radii[layout.group_slice(name)] = prob.box * prob.hint(name)
+        self.box_g = np.zeros((2 * n, self.nz))
+        self.box_g[:n, :self.p] = nullspace
+        self.box_g[n:, :self.p] = -nullspace
+        self.box_b = np.concatenate([radii - x0, radii + x0])
+        self._box_s = None
+
+        self.nu = sum(c.shape[0] for c, _ in blocks) + 2 * n
 
     def x_of(self, z: np.ndarray) -> np.ndarray:
         return self.x_p + self.N @ z[:self.p]
 
-    def slacks(self, z: np.ndarray):
-        out = []
-        for c, a in self.blocks:
-            s = -(c + np.tensordot(z, a, axes=(0, 0)))
-            out.append(0.5 * (s + s.T))
-        return out
+    def _chol(self, c, a, z):
+        s = -(c + np.tensordot(z, a, axes=(0, 0)))
+        try:
+            return np.linalg.cholesky(0.5 * (s + s.T))
+        except np.linalg.LinAlgError:
+            return None
 
-    def strictly_feasible(self, z: np.ndarray) -> bool:
-        for s in self.slacks(z):
-            try:
-                np.linalg.cholesky(s)
-            except np.linalg.LinAlgError:
-                return False
-        return True
+    def phi(self, z: np.ndarray):
+        """Barrier value at z, or None outside the domain: one Cholesky
+        factorisation per LMI block."""
+        s = self.box_b - self.box_g @ z
+        if not np.all(s > 0):
+            return None
+        val = -float(np.sum(np.log(s)))
+        for c, a in self.blocks:
+            chol = self._chol(c, a, z)
+            if chol is None:
+                return None
+            val -= 2.0 * float(np.sum(np.log(np.diag(chol))))
+        return val
 
     def barrier(self, z: np.ndarray):
         """phi, gradient, Hessian of the log-det barrier at z; None if
-        outside the domain."""
-        phi = 0.0
-        g = np.zeros(self.nz)
-        h = np.zeros((self.nz, self.nz))
-        for c, a in self.blocks:
-            s = -(c + np.tensordot(z, a, axes=(0, 0)))
-            s = 0.5 * (s + s.T)
-            try:
-                chol = np.linalg.cholesky(s)
-            except np.linalg.LinAlgError:
+        outside the domain.  Keeps what max_step() needs at z."""
+        s = self.box_b - self.box_g @ z
+        if not np.all(s > 0):
+            return None
+        inv_s = 1.0 / s
+        phi = -float(np.sum(np.log(s)))
+        g = self.box_g.T @ inv_s
+        gs = self.box_g * inv_s[:, None]
+        h = gs.T @ gs
+        for k, (c, a) in enumerate(self.blocks):
+            chol = self._chol(c, a, z)
+            if chol is None:
                 return None
             phi -= 2.0 * float(np.sum(np.log(np.diag(chol))))
-            try:
-                s_inv = np.linalg.inv(s)
-            except np.linalg.LinAlgError:
+            linv = np.linalg.inv(chol)
+            if not np.all(np.isfinite(linv)):
                 return None
-            if not np.all(np.isfinite(s_inv)):
-                return None
-            u = np.einsum('mn,knl->kml', s_inv, a)
-            g += np.einsum('kmm->k', u)
-            h += np.einsum('imn,jnm->ij', u, u)
+            m = c.shape[0]
+            y = self._y[k]
+            np.matmul(linv, (a.reshape(-1, m) @ linv.T).reshape(y.shape), out=y)
+            g += np.trace(y, axis1=1, axis2=2)
+            yf = y.reshape(self.nz, m * m)
+            h += yf @ yf.T
+            self._linv[k] = linv
+        self._box_s = s
         return phi, g, h
+
+    def max_step(self, dz: np.ndarray) -> float:
+        """Largest alpha with z + alpha dz on the closure of the domain,
+        z being the point of the last barrier() call."""
+        alpha = np.inf
+        gd = self.box_g @ dz
+        up = gd > 0
+        if np.any(up):
+            alpha = float(np.min(self._box_s[up] / gd[up]))
+        for (_, a), linv in zip(self.blocks, self._linv):
+            # S(z + alpha dz) = L (I - alpha L^{-1} dS L^{-T}) L^T
+            d = linv @ np.tensordot(dz, a, axes=(0, 0)) @ linv.T
+            lmax = float(np.linalg.eigvalsh(0.5 * (d + d.T))[-1])
+            if lmax > 0:
+                alpha = min(alpha, 1.0 / lmax)
+        return alpha
 
 
 def _initial_t(model: _BarrierModel) -> float:
-    z = np.zeros(model.nz)
-    f_block = model.blocks[0]
-    c = f_block[0] + np.tensordot(z, f_block[1], axes=(0, 0))
-    lmax = float(np.linalg.eigvalsh(0.5 * (c + c.T))[-1])
+    lmax = float(np.linalg.eigvalsh(model.blocks[0][0])[-1])
     return -(lmax + 1.0 + 0.1 * max(1.0, abs(lmax)))
 
 
@@ -301,7 +339,7 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
     model = _BarrierModel(prob)
     z = np.zeros(model.nz)
     z[model.p] = _initial_t(model)
-    if not model.strictly_feasible(z):
+    if model.phi(z) is None:
         # should not happen by construction; report rather than guess
         return FeasibilityResult(
             status=UNDETERMINED, witness=prob.pencil.layout.unpack(model.x_of(z)),
@@ -340,22 +378,22 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
                 break
             decrement2 = float(-grad @ step)
             total_newton += 1
-            if decrement2 <= 0:
+            if decrement2 <= 0 or decrement2 / 2.0 <= opts.newton_tol:
                 break
-            # backtracking line search on f = c.z/mu + phi
+            # backtracking line search on f = c.z/mu + phi, from a fraction
+            # of the step to the boundary; trials evaluate phi only.  Below
+            # 2^-30 of that step an accepted step would be round-off.
             f0 = float(c_obj @ z) / mu + phi
-            alpha = 1.0
+            alpha = min(1.0, 0.99 * model.max_step(step))
             accepted = False
-            for _ in range(60):
+            for _ in range(30):
                 zn = z + alpha * step
-                if model.strictly_feasible(zn):
-                    bn = model.barrier(zn)
-                    if bn is not None:
-                        fn = float(c_obj @ zn) / mu + bn[0]
-                        if fn <= f0 - 1e-4 * alpha * decrement2:
-                            z = zn
-                            accepted = True
-                            break
+                pn = model.phi(zn)
+                if pn is not None and (float(c_obj @ zn) / mu + pn
+                                       <= f0 - 1e-4 * alpha * decrement2):
+                    z = zn
+                    accepted = True
+                    break
                 alpha *= 0.5
             if not accepted:
                 break
@@ -363,8 +401,6 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
                 if audited_feasible(z):
                     early = True
                     break
-            if decrement2 / 2.0 <= opts.newton_tol:
-                break
         if breakdown or early:
             break
         gap = mu * model.nu

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from lurecert import cli
 from lurecert.cli import main
 from lurecert.problemio import ProblemFileError, parse_problem
+from lurecert.solver import FEASIBLE, FeasibilityResult
 
 REFERENCE_PROBLEM = {
     "schema_version": 1,
@@ -133,6 +135,12 @@ class TestAnalyzeCommand:
         code = main(["analyze", path, "--theorem", "CT-Lip-analysis", "--quiet"])
         assert code == 1
 
+    @pytest.mark.parametrize("tag", ["CT-Lip-synthesis", "CT-Lip-conservative"])
+    def test_synthesis_tag_is_a_usage_error(self, tmp_path, capsys, tag):
+        path = write_problem(tmp_path, SCALAR_INFEASIBLE)
+        assert main(["analyze", path, "--theorem", tag, "--quiet"]) == 1
+        assert f"{tag} is a synthesis form" in capsys.readouterr().err
+
 
 class TestSynthesizeCommand:
     def test_reference_synthesis(self, tmp_path):
@@ -169,6 +177,30 @@ class TestSynthesizeCommand:
         assert report["analysis_margin"] >= 0
         assert "reason" in report
         assert "W" in report and "K" in report
+
+    def test_analysis_tag_is_a_usage_error(self, tmp_path, capsys):
+        path = write_problem(tmp_path, REFERENCE_PROBLEM)
+        code = main(["synthesize", path, "--theorem", "DT-Lip-analysis", "--quiet"])
+        assert code == 1
+        assert "DT-Lip-analysis is an analysis form" in capsys.readouterr().err
+
+    def test_singular_w_is_undetermined(self, tmp_path, monkeypatch):
+        # a feasible verdict whose W cannot be inverted certifies no gains
+        def singular_solve(prob, opts):
+            witness = {"W": np.diag([1.0, 1.0, 0.0]), "Z": np.ones((1, 3)),
+                       "K_psi": np.zeros((1, 1))}
+            return FeasibilityResult(status=FEASIBLE, witness=witness,
+                                     margin=-1.0, positivity_margins={},
+                                     iterations=1, diagnostics={})
+
+        monkeypatch.setattr(cli, "solve", singular_solve)
+        path = write_problem(tmp_path, REFERENCE_PROBLEM)
+        out = tmp_path / "report.json"
+        assert main(["synthesize", path, "--out", str(out), "--quiet"]) == 3
+        report = json.loads(out.read_text())
+        assert report["status"] == "undetermined"
+        assert "W" in report and "reason" in report
+        assert "K" not in report
 
     def test_infeasible_synthesis(self, tmp_path):
         # the scalar unstable plant has no control input, so no gain helps

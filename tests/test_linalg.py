@@ -113,41 +113,6 @@ class TestEigen:
             linalg.is_nsd(np.eye(2), tol=-1.0)
 
 
-class TestSchurAndCongruence:
-    def test_schur_complement_known(self):
-        m = np.array([
-            [4.0, 0.0, 2.0],
-            [0.0, 3.0, 1.0],
-            [2.0, 1.0, 2.0],
-        ])
-        comp = linalg.schur_complement(m, 2)
-        expected = m[:2, :2] - np.outer([2.0, 1.0], [2.0, 1.0]) / 2.0
-        assert np.allclose(comp, expected)
-
-    @given(st.integers(min_value=2, max_value=6), st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_schur_determinant_identity(self, n, seed):
-        # det(M) = det(D) * det(A - B D^{-1} B^T)
-        rng = np.random.default_rng(seed)
-        m = random_sym(rng, n) + 2.0 * n * np.eye(n)
-        split = rng.integers(1, n)
-        comp = linalg.schur_complement(m, split)
-        d = m[split:, split:]
-        assert np.linalg.det(m) == pytest.approx(
-            np.linalg.det(d) * np.linalg.det(comp), rel=1e-8)
-
-    def test_schur_split_out_of_range(self):
-        with pytest.raises(linalg.DimensionError):
-            linalg.schur_complement(np.eye(2), 2)
-
-    def test_congruence_preserves_definiteness(self):
-        rng = np.random.default_rng(3)
-        t = rng.normal(size=(3, 3))
-        out = linalg.congruence(np.eye(3), t)
-        assert linalg.is_psd(out)[0]
-        assert np.allclose(out, t.T @ t)
-
-
 class TestInverseSolve:
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(0)

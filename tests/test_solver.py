@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from lurecert import linalg
+from lurecert import linalg, solver
+from lurecert.catalog import LmiSpec
+from lurecert.model import Gains, Lipschitz
 from lurecert.pencil import AffinePencil, VariableLayout, pencil_from_function
 from lurecert.solver import (
     FEASIBLE,
@@ -12,11 +14,13 @@ from lurecert.solver import (
     FeasibilityProblem,
     SolveOptions,
     StructuralError,
+    _BarrierModel,
+    _initial_t,
     audit,
     solve,
 )
 
-from helpers import grid_oracle, random_sym
+from helpers import grid_oracle, random_lure, random_sym
 
 
 def scalar_pencil(target):
@@ -199,3 +203,110 @@ class TestFuzzNoFalseFeasible:
                 assert audit(prob, res.witness,
                              margin_min=SolveOptions().margin_min).satisfied
         assert FEASIBLE in statuses
+
+
+def random_barrier_problem(rng, box):
+    """A random pencil in a 2x2 symmetric X and a 1x2 Z, with X >= eps I."""
+    layout = VariableLayout([VariableLayout.sym("X", 2), ("Z", "mat", (1, 2))])
+    dim = int(rng.integers(2, 5))
+    f0 = random_sym(rng, dim)
+    coeffs = [random_sym(rng, dim) for _ in range(layout.size)]
+
+    def blocks(v):
+        return f0 + sum(c * m for c, m in zip(layout.pack(v), coeffs))
+
+    return FeasibilityProblem(pencil_from_function(layout, blocks),
+                              positivity=(("X", None),), box=box)
+
+
+def interior_point(model, rng):
+    """The solver's starting point, moved a little inside the domain."""
+    z = np.zeros(model.nz)
+    z[model.p] = _initial_t(model)
+    while True:
+        zr = z + 0.1 * rng.normal(size=model.nz)
+        if model.phi(zr) is not None:
+            return zr
+
+
+def block_slacks(model, z):
+    """lambda_min of each LMI block and min slack of the box, at z."""
+    out = [float(np.linalg.eigvalsh(-(c + np.tensordot(z, a, axes=(0, 0))))[0])
+           for c, a in model.blocks]
+    out.append(float(np.min(model.box_b - model.box_g @ z)))
+    return np.array(out)
+
+
+class TestBarrierModel:
+    """The vectorised barrier: step to the boundary and exact derivatives."""
+
+    def test_max_step_reaches_the_boundary(self):
+        rng = np.random.default_rng(11)
+        binding = []
+        for _ in range(20):
+            prob = random_barrier_problem(rng, 50.0)
+            model = _BarrierModel(prob)
+            z = interior_point(model, rng)
+            # a random direction, and one that moves only Z and lowers t, so
+            # that only the box can stop it
+            box_dz = np.zeros(model.nz)
+            box_dz[prob.pencil.layout.group_slice("Z")] = rng.normal(size=2)
+            box_dz[model.p] = -100.0
+            for dz in (rng.normal(size=model.nz), box_dz):
+                assert model.barrier(z) is not None
+                alpha = model.max_step(dz)
+                assert 0 < alpha < np.inf
+                scale = np.maximum(1.0, np.abs(block_slacks(model, z)))
+                at_bound = block_slacks(model, z + alpha * dz) / scale
+                assert at_bound.min() <= 1e-8
+                assert np.all(block_slacks(model, z + 0.99 * alpha * dz) > 0)
+                assert model.phi(z + 0.99 * alpha * dz) is not None
+                binding.append(int(np.argmin(at_bound)))
+        # the pencil, the positivity block and the box each bound some step
+        assert set(binding) == {0, 1, 2}
+
+    def test_derivatives_match_finite_differences(self):
+        rng = np.random.default_rng(12)
+        h = 1e-4
+        for _ in range(10):
+            model = _BarrierModel(random_barrier_problem(rng, 5.0))
+            z = interior_point(model, rng)
+            phi, grad, hess = model.barrier(z)
+            assert phi == pytest.approx(model.phi(z), rel=1e-12)
+            eye = np.eye(model.nz) * h
+            fd_grad = np.array([(model.phi(z + e) - model.phi(z - e)) / (2 * h)
+                                for e in eye])
+            fd_hess = np.array([[(model.phi(z + ei + ej) - model.phi(z + ei - ej)
+                                  - model.phi(z - ei + ej) + model.phi(z - ei - ej))
+                                 / (4 * h * h) for ej in eye] for ei in eye])
+            assert np.allclose(grad, fd_grad, rtol=1e-6,
+                               atol=1e-6 * np.abs(grad).max())
+            assert np.allclose(hess, fd_hess, rtol=1e-4,
+                               atol=1e-4 * np.abs(hess).max())
+
+    def test_one_barrier_per_newton_step(self, monkeypatch):
+        # DT-Lip analysis with K = 0 at n_x = 10: infeasible, full barrier path
+        n_x = 10
+        sys = random_lure(np.random.default_rng(1000 + n_x), n_x, 2, 2, 2,
+                          "discrete", stable=True)
+        spec = LmiSpec("DT-Lip-analysis", sys,
+                       Lipschitz(0.2, np.eye(2), np.eye(2)), 0.95)
+        pencil = spec.build(Gains(np.zeros((2, n_x)), np.zeros((2, 2))))
+        prob = FeasibilityProblem(pencil, positivity=(("P", None),),
+                                  trace_normalize=("P",))
+        calls = {"barrier": 0, "phi": 0}
+
+        def counting(name):
+            method = getattr(_BarrierModel, name)
+
+            def wrapper(self, z):
+                calls[name] += 1
+                return method(self, z)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(solver._BarrierModel, name, counting(name))
+        res = solve(prob)
+        assert res.status == INFEASIBLE
+        assert calls["barrier"] == res.iterations
+        assert calls["phi"] <= 2 * res.iterations
