@@ -91,7 +91,7 @@ def _spec(problem, tag: str, analysis: bool):
 def _solve_analysis(problem, args, spec: LmiSpec):
     """Solve the analysis inequality ``spec`` in P for the problem's gains."""
     prob = FeasibilityProblem(pencil=spec.build(problem.gains),
-                              positivity=(("P", None),), trace_normalize=("P",))
+                              positivity=(("P", None),))
     return solve(prob, _solve_options(problem, args))
 
 

@@ -1,9 +1,9 @@
 """Feasibility solver for affine pencil constraints F(x) <= 0.
 
 The solver maximizes the margin t subject to F(x) + t I <= 0, lower bounds
-on designated variable groups (G(x) >= eps I), optional trace
-normalization, and a coordinate box that keeps the search compact.  It is
-a log-det barrier path-following method with damped Newton centering.
+on designated variable groups (G(x) >= eps I), and a coordinate box that
+keeps the search compact.  It is a log-det barrier path-following method
+with damped Newton centering, in the pencil's own coordinates.
 
 Every "feasible" verdict is re-checked by an independent eigenvalue audit
 that only uses the pencil and linalg, never the solver's internal state.
@@ -11,7 +11,7 @@ that only uses the pencil and linalg, never the solver's internal state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +22,21 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible-certified-numerically"
 UNDETERMINED = "undetermined"
 
-# Default lower-bound multiple of the per-group scaling hint.
-DEFAULT_EPS_FACTOR = 1e-6
-# Default half-width of the coordinate box, per unit scaling hint.
+# Default lower bound eps of a positivity group G >= eps I.
+DEFAULT_EPS = 1e-6
+# Default half-width of the coordinate box.
 DEFAULT_BOX = 1e4
+
+# Barrier path: mu starts at max(1, |t0|) and shrinks by MU_FACTOR after
+# each centering, until the gap bound mu * nu falls below GAP_TOL (relative
+# to max(1, |t|)); centering ends when half the squared Newton decrement is
+# at most NEWTON_TOL.
+MU_FACTOR = 0.2
+GAP_TOL = 1e-11
+NEWTON_TOL = 1e-9
+# Stop early once an audited point reaches this pencil margin; feasibility,
+# not margin maximization, is the contract.
+MARGIN_STOP = 1e-6
 
 
 class StructuralError(ValueError):
@@ -37,15 +48,12 @@ class FeasibilityProblem:
     """An affine pencil constraint plus positivity side conditions.
 
     positivity: (group name, eps) pairs requiring group >= eps * I; eps
-    None picks DEFAULT_EPS_FACTOR times the group's scaling hint.
-    trace_normalize: group names whose trace is pinned to their dimension,
-    removing the scaling ray of homogeneous pencils.
+    None picks DEFAULT_EPS.
+    box: half-width of the coordinate box |x_i| <= box.
     """
 
     pencil: AffinePencil
     positivity: tuple = ()
-    scaling_hints: dict = field(default_factory=dict)
-    trace_normalize: tuple = ()
     box: float = DEFAULT_BOX
 
     def __post_init__(self):
@@ -58,23 +66,12 @@ class FeasibilityProblem:
                 raise StructuralError(f"positivity references unknown group {g!r}")
             if groups[g].kind != SYM:
                 raise StructuralError(f"positivity group {g!r} is not symmetric")
-        for g in self.trace_normalize:
-            if g not in groups:
-                raise StructuralError(f"trace_normalize references unknown group {g!r}")
-            if groups[g].kind != SYM:
-                raise StructuralError(f"trace_normalize group {g!r} is not symmetric")
-        for g in self.scaling_hints:
-            if g not in groups:
-                raise StructuralError(f"scaling hint references unknown group {g!r}")
         if not self.box > 0:
             raise StructuralError("box must be positive")
 
-    def hint(self, group: str) -> float:
-        return float(self.scaling_hints.get(group, 1.0))
-
     def eps_for(self, group: str, eps) -> float:
         if eps is None:
-            return DEFAULT_EPS_FACTOR * self.hint(group)
+            return DEFAULT_EPS
         eps = float(eps)
         if not eps > 0:
             raise StructuralError("eps must be positive")
@@ -85,6 +82,8 @@ class FeasibilityProblem:
 class SolveOptions:
     """Solver settings.
 
+    margin_min: the pencil margin -lambda_max(F) a "feasible" witness must
+    reach; finite and positive, so that "feasible" always means F < 0.
     seed is inert: the solver is deterministic and only echoes it into
     FeasibilityResult.diagnostics.  It stays because the problem schema
     accepts ``solver.seed``.
@@ -93,13 +92,11 @@ class SolveOptions:
     margin_min: float = 1e-9
     max_iter: int = 500
     seed: int = 0
-    mu_initial: float = 1.0
-    mu_factor: float = 0.2
-    gap_tol: float = 1e-11
-    newton_tol: float = 1e-9
-    # stop early once an audited point reaches this pencil margin;
-    # feasibility, not margin maximization, is the contract
-    margin_stop: float = 1e-6
+
+    def __post_init__(self):
+        if not (np.isfinite(self.margin_min) and self.margin_min > 0):
+            raise ValueError(
+                f"margin_min must be finite and positive, got {self.margin_min!r}")
 
 
 @dataclass(frozen=True)
@@ -145,117 +142,60 @@ def audit(prob: FeasibilityProblem, witness: dict,
 
 
 class _BarrierModel:
-    """Log-det barrier over the reduced variables z = (xi, t).
+    """Log-det barrier over z = (x, t), x in the pencil's coordinates.
 
     LMI blocks S_b(z) = -(C_b + sum_i z_i A_b[i]) > 0 (the pencil with the
-    margin t, then the positivity groups), and the coordinate box as one
-    linear block s(z) = b - G z > 0.
+    margin t, then the positivity groups), and the coordinate box as the
+    slacks box - x > 0 and box + x > 0.
     """
 
     def __init__(self, prob: FeasibilityProblem):
         layout = prob.pencil.layout
-        n = layout.size
-
-        # Initial point: identity (scaled) for positivity groups, zero else.
-        x0 = np.zeros(n)
-        for g, _ in prob.positivity:
-            grp = layout.groups[g]
-            x0[layout.group_slice(g)] = layout.pack(
-                {**layout.unpack(np.zeros(n)),
-                 g: prob.hint(g) * np.eye(grp.shape[0])}
-            )[layout.group_slice(g)]
-
-        # Trace normalization: linear equalities tr(G) = dim(G), eliminated
-        # by restricting to an affine subspace x = x_p + N xi.
-        eqs = []
-        vals = []
-        for g in prob.trace_normalize:
-            grp = layout.groups[g]
-            dim = grp.shape[0]
-            row = np.zeros(n)
-            eye_coords = layout.pack(
-                {**layout.unpack(np.zeros(n)), g: np.eye(dim)}
-            )
-            # the trace functional in packed coordinates: diagonal coords
-            diag_mask = np.zeros(n)
-            idx = grp.offset
-            for i in range(dim):
-                for j in range(i, dim):
-                    if i == j:
-                        diag_mask[idx] = 1.0
-                    idx += 1
-            row[:] = diag_mask
-            eqs.append(row)
-            vals.append(float(dim))
-            del eye_coords
-        if eqs:
-            e = np.array(eqs)
-            v = np.array(vals)
-            # project x0 onto the equality manifold
-            x0 = x0 + e.T @ np.linalg.solve(e @ e.T, v - e @ x0)
-            u, s, vt = np.linalg.svd(e)
-            rank = int(np.sum(s > 1e-12 * max(1.0, s[0])))
-            nullspace = vt[rank:].T
-        else:
-            nullspace = np.eye(n)
-        self.x_p = x0
-        self.N = nullspace
-        self.p = nullspace.shape[1]
-        self.nz = self.p + 1  # xi plus the margin variable t
+        n = self.n = layout.size
+        self.nz = n + 1
+        self.box = prob.box
 
         # LMI blocks: (constant, coefficient stack over z).
-        blocks = []
+        f0 = prob.pencil.F0
+        m = f0.shape[0]
+        blocks = [(0.5 * (f0 + f0.T),
+                   np.concatenate([prob.pencil.basis, np.eye(m)[None]]))]
 
-        def reduce_coeffs(const, coeffs, with_t=False):
-            # coeffs: (n, m, m) in original x; map to xi via N.
-            m = const.shape[0]
-            c = const + np.tensordot(self.x_p, coeffs, axes=(0, 0))
-            a = np.tensordot(self.N.T, coeffs, axes=(1, 0))
-            out = np.zeros((self.nz, m, m))
-            out[:self.p] = a
-            if with_t:
-                out[self.p] = np.eye(m)
-            return 0.5 * (c + c.T), out
-
-        blocks.append(reduce_coeffs(prob.pencil.F0, prob.pencil.basis, with_t=True))
-
-        # positivity: eps I - G(x) <= 0
+        # positivity: eps I - G(x) <= 0.  Each group starts at min(1, box/2) I,
+        # inside the box; other coordinates start at 0.
+        x0 = np.zeros(n)
         for g, eps in prob.positivity:
-            eps = prob.eps_for(g, eps)
             grp = layout.groups[g]
             dim = grp.shape[0]
-            coeffs = np.zeros((n, dim, dim))
-            idx = grp.offset
-            for i in range(dim):
-                for j in range(i, dim):
-                    coeffs[idx, i, j] = -1.0
-                    coeffs[idx, j, i] = -1.0
-                    if i == j:
-                        coeffs[idx, i, j] = -1.0
-                    idx += 1
-            blocks.append(reduce_coeffs(eps * np.eye(dim), coeffs))
+            i, j = np.triu_indices(dim)
+            k = grp.offset + np.arange(i.size)
+            a = np.zeros((self.nz, dim, dim))
+            a[k, i, j] = -1.0
+            a[k, j, i] = -1.0
+            blocks.append((prob.eps_for(g, eps) * np.eye(dim), a))
+            x0[k[i == j]] = min(1.0, prob.box / 2)
 
         self.blocks = blocks
         # whitened coefficients Y = L^{-1} A L^{-T}, rewritten by barrier()
         self._y = [np.empty_like(a) for _, a in blocks]
-        # L^{-1} of each block at the last barrier() point, for max_step()
+        # L^{-1} of each block and the box slacks at the last barrier()
+        # point, for max_step()
         self._linv = [None] * len(blocks)
+        self._slacks = None
 
-        # coordinate box |x_i| <= box * hint(group of i), both sides:
-        # slack b - G z with G = [N, 0; -N, 0]
-        radii = np.empty(n)
-        for name in layout.groups:
-            radii[layout.group_slice(name)] = prob.box * prob.hint(name)
-        self.box_g = np.zeros((2 * n, self.nz))
-        self.box_g[:n, :self.p] = nullspace
-        self.box_g[n:, :self.p] = -nullspace
-        self.box_b = np.concatenate([radii - x0, radii + x0])
-        self._box_s = None
+        # start just inside the pencil block: t below -lambda_max(F(x0))
+        lmax = float(np.linalg.eigvalsh(prob.pencil.evaluate_coords(x0))[-1])
+        self.z0 = np.append(x0, -(lmax + 1.0 + 0.1 * max(1.0, abs(lmax))))
 
         self.nu = sum(c.shape[0] for c, _ in blocks) + 2 * n
 
-    def x_of(self, z: np.ndarray) -> np.ndarray:
-        return self.x_p + self.N @ z[:self.p]
+    def _box_slacks(self, z):
+        """(box - x, box + x), or None if x is not strictly inside the box."""
+        x = z[:self.n]
+        hi, lo = self.box - x, self.box + x
+        if not (np.all(hi > 0) and np.all(lo > 0)):
+            return None
+        return hi, lo
 
     def _chol(self, c, a, z):
         s = -(c + np.tensordot(z, a, axes=(0, 0)))
@@ -267,10 +207,10 @@ class _BarrierModel:
     def phi(self, z: np.ndarray):
         """Barrier value at z, or None outside the domain: one Cholesky
         factorisation per LMI block."""
-        s = self.box_b - self.box_g @ z
-        if not np.all(s > 0):
+        slacks = self._box_slacks(z)
+        if slacks is None:
             return None
-        val = -float(np.sum(np.log(s)))
+        val = -float(np.sum(np.log(slacks[0])) + np.sum(np.log(slacks[1])))
         for c, a in self.blocks:
             chol = self._chol(c, a, z)
             if chol is None:
@@ -281,14 +221,15 @@ class _BarrierModel:
     def barrier(self, z: np.ndarray):
         """phi, gradient, Hessian of the log-det barrier at z; None if
         outside the domain.  Keeps what max_step() needs at z."""
-        s = self.box_b - self.box_g @ z
-        if not np.all(s > 0):
+        slacks = self._box_slacks(z)
+        if slacks is None:
             return None
-        inv_s = 1.0 / s
-        phi = -float(np.sum(np.log(s)))
-        g = self.box_g.T @ inv_s
-        gs = self.box_g * inv_s[:, None]
-        h = gs.T @ gs
+        hi, lo = slacks
+        phi = -float(np.sum(np.log(hi)) + np.sum(np.log(lo)))
+        g = np.zeros(self.nz)
+        g[:self.n] = 1.0 / hi - 1.0 / lo
+        h = np.zeros((self.nz, self.nz))
+        h[np.diag_indices(self.n)] = 1.0 / hi ** 2 + 1.0 / lo ** 2
         for k, (c, a) in enumerate(self.blocks):
             chol = self._chol(c, a, z)
             if chol is None:
@@ -304,29 +245,21 @@ class _BarrierModel:
             yf = y.reshape(self.nz, m * m)
             h += yf @ yf.T
             self._linv[k] = linv
-        self._box_s = s
+        self._slacks = slacks
         return phi, g, h
 
     def max_step(self, dz: np.ndarray) -> float:
         """Largest alpha with z + alpha dz on the closure of the domain,
         z being the point of the last barrier() call."""
-        alpha = np.inf
-        gd = self.box_g @ dz
-        up = gd > 0
-        if np.any(up):
-            alpha = float(np.min(self._box_s[up] / gd[up]))
+        # each part of the domain stops the step at alpha = 1 / its rate
+        dx = dz[:self.n]
+        hi, lo = self._slacks
+        rate = float(np.max(np.abs(dx) / np.where(dx > 0, hi, lo), initial=0.0))
         for (_, a), linv in zip(self.blocks, self._linv):
             # S(z + alpha dz) = L (I - alpha L^{-1} dS L^{-T}) L^T
             d = linv @ np.tensordot(dz, a, axes=(0, 0)) @ linv.T
-            lmax = float(np.linalg.eigvalsh(0.5 * (d + d.T))[-1])
-            if lmax > 0:
-                alpha = min(alpha, 1.0 / lmax)
-        return alpha
-
-
-def _initial_t(model: _BarrierModel) -> float:
-    lmax = float(np.linalg.eigvalsh(model.blocks[0][0])[-1])
-    return -(lmax + 1.0 + 0.1 * max(1.0, abs(lmax)))
+            rate = max(rate, float(np.linalg.eigvalsh(0.5 * (d + d.T))[-1]))
+        return 1.0 / rate if rate > 0 else np.inf
 
 
 def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> FeasibilityResult:
@@ -337,30 +270,31 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
     "undetermined", never a false "feasible".
     """
     model = _BarrierModel(prob)
-    z = np.zeros(model.nz)
-    z[model.p] = _initial_t(model)
+    n = model.n
+    z = model.z0
     if model.phi(z) is None:
-        # should not happen by construction; report rather than guess
+        # only a positivity eps >= min(1, box/2) puts the start outside
         return FeasibilityResult(
-            status=UNDETERMINED, witness=prob.pencil.layout.unpack(model.x_of(z)),
+            status=UNDETERMINED, witness=prob.pencil.layout.unpack(z[:n]),
             margin=float("nan"), positivity_margins={}, iterations=0,
             diagnostics={"reason": "no strictly feasible starting point"},
         )
 
     c_obj = np.zeros(model.nz)
-    c_obj[model.p] = -1.0  # maximize t
+    c_obj[n] = -1.0  # maximize t
 
-    mu = opts.mu_initial * max(1.0, abs(z[model.p]))
+    mu = max(1.0, abs(z[n]))
     total_newton = 0
     breakdown = False
     early = False
 
     def audited_feasible(zc):
-        witness = prob.pencil.layout.unpack(model.x_of(zc))
+        witness = prob.pencil.layout.unpack(zc[:n])
         return audit(prob, witness, margin_min=opts.margin_min).satisfied
 
     while total_newton < opts.max_iter:
         # center at current mu
+        centered = False
         for _ in range(80):
             if total_newton >= opts.max_iter:
                 break
@@ -378,7 +312,8 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
                 break
             decrement2 = float(-grad @ step)
             total_newton += 1
-            if decrement2 <= 0 or decrement2 / 2.0 <= opts.newton_tol:
+            if decrement2 <= 0 or decrement2 / 2.0 <= NEWTON_TOL:
+                centered = True
                 break
             # backtracking line search on f = c.z/mu + phi, from a fraction
             # of the step to the boundary; trials evaluate phi only.  Below
@@ -397,22 +332,25 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
                 alpha *= 0.5
             if not accepted:
                 break
-            if z[model.p] >= max(opts.margin_stop, 10 * opts.margin_min):
+            if z[n] >= max(MARGIN_STOP, 10 * opts.margin_min):
                 if audited_feasible(z):
                     early = True
                     break
         if breakdown or early:
             break
         gap = mu * model.nu
-        if gap <= opts.gap_tol * max(1.0, abs(z[model.p])):
+        # at a centered point the best margin is at most t + gap, so a
+        # bound below margin_min already decides "infeasible"
+        if centered and z[n] + gap < opts.margin_min:
             break
-        mu *= opts.mu_factor
+        if gap <= GAP_TOL * max(1.0, abs(z[n])):
+            break
+        mu *= MU_FACTOR
 
-    t = float(z[model.p])
+    t = float(z[n])
     gap = mu * model.nu
     t_upper = t + gap  # certified at centered points only; diagnostic
-    x = model.x_of(z)
-    witness = prob.pencil.layout.unpack(x)
+    witness = prob.pencil.layout.unpack(z[:n])
     report = audit(prob, witness, margin_min=opts.margin_min)
     pos = report.positivity_lambda_min
     margin = report.pencil_lambda_max

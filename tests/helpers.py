@@ -70,9 +70,8 @@ def grid_oracle(prob, n=81):
     layout = prob.pencil.layout
     assert layout.size == 2
     axes = []
-    for name, g in layout.groups.items():
-        half = prob.box * prob.hint(name)
-        axes.extend([np.linspace(-half, half, n)] * g.size)
+    for g in layout.groups.values():
+        axes.extend([np.linspace(-prob.box, prob.box, n)] * g.size)
     aa, bb = np.meshgrid(axes[0], axes[1], indexing="ij")
     xs = np.stack([aa.ravel(), bb.ravel()], axis=1)
     fs = (prob.pencil.F0[None, :, :]

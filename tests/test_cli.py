@@ -10,6 +10,8 @@ from lurecert.cli import main
 from lurecert.problemio import ProblemFileError, parse_problem
 from lurecert.solver import FEASIBLE, FeasibilityResult
 
+from helpers import random_lure
+
 REFERENCE_PROBLEM = {
     "schema_version": 1,
     "system": {
@@ -140,6 +142,69 @@ class TestAnalyzeCommand:
         path = write_problem(tmp_path, SCALAR_INFEASIBLE)
         assert main(["analyze", path, "--theorem", tag, "--quiet"]) == 1
         assert f"{tag} is a synthesis form" in capsys.readouterr().err
+
+    def test_nonpositive_margin_min_flag_is_a_usage_error(self, tmp_path, capsys):
+        # a negative margin_min would let an infeasible plant pass the audit
+        path = write_problem(tmp_path, SCALAR_INFEASIBLE)
+        assert main(["analyze", path, "--margin-min", "-5", "--quiet"]) == 1
+        assert "margin_min" in capsys.readouterr().err
+
+    def test_nonpositive_margin_min_in_file_is_a_usage_error(self, tmp_path, capsys):
+        doc = dict(SCALAR_INFEASIBLE, solver={"margin_min": -5})
+        path = write_problem(tmp_path, doc)
+        assert main(["analyze", path, "--quiet"]) == 1
+        assert "margin_min" in capsys.readouterr().err
+
+
+def zero_gain_problem(sys, nonlinearity, eta):
+    """A problem document for ``sys`` under K = 0, K_psi = 0."""
+    return {
+        "schema_version": 1,
+        "system": {"A": sys.A.tolist(), "B": sys.B.tolist(),
+                   "B_psi": sys.B_psi.tolist(), "C": sys.C.tolist(),
+                   "domain": sys.domain},
+        "nonlinearity": nonlinearity,
+        "eta": eta,
+        "gains": {"K": np.zeros((sys.n_u, sys.n_x)).tolist(),
+                  "K_psi": np.zeros((sys.n_u, sys.n_psi)).tolist()},
+    }
+
+
+class TestThetaScaling:
+    """The analysis inequalities are homogeneous in (P, Theta) jointly, so
+    scaling every Theta by s > 0 must not change an `analyze` verdict."""
+
+    @staticmethod
+    def scaled_class(variant, level, s):
+        if variant == "lipschitz":
+            return {"variant": "lipschitz", "rho": level,
+                    "theta_y": [[s]], "theta_psi": [[s]]}
+        if variant == "sector":
+            return {"variant": "sector", "gamma": [[level]], "theta": [[s]]}
+        # monotone with bound level, lowered to the sector [0, level] with
+        # weight 1 / level
+        return {"variant": "sector", "gamma": [[level]], "theta": [[s / level]]}
+
+    @pytest.mark.parametrize("domain", ["discrete", "continuous"])
+    @pytest.mark.parametrize("variant", ["lipschitz", "sector", "monotone"])
+    def test_verdict_is_scale_free(self, tmp_path, domain, variant):
+        sys = random_lure(np.random.default_rng(0), 3, 1, 1, 1, domain,
+                          stable=True)
+        eta = 0.95 if domain == "discrete" else 0.1
+        for level in (0.05, 0.5):
+            codes = set()
+            for s in (1e-2, 1.0, 1e2):
+                doc = zero_gain_problem(sys, self.scaled_class(variant, level, s), eta)
+                codes.add(main(["analyze", write_problem(tmp_path, doc), "--quiet"]))
+            assert len(codes) == 1 and codes <= {0, 2}, (level, codes)
+
+    def test_small_theta_is_feasible(self, tmp_path):
+        sys = random_lure(np.random.default_rng(7), 3, 1, 1, 1, "discrete",
+                          stable=True)
+        nonlinearity = {"variant": "lipschitz", "rho": 0.05,
+                        "theta_y": [[0.01]], "theta_psi": [[0.01]]}
+        path = write_problem(tmp_path, zero_gain_problem(sys, nonlinearity, 0.95))
+        assert main(["analyze", path, "--quiet"]) == 0
 
 
 class TestSynthesizeCommand:

@@ -82,7 +82,7 @@ class TestEigen:
         assert np.allclose(v @ np.diag(w) @ v.T, np.diag([3.0, 1.0, 2.0]))
 
     @given(st.integers(min_value=1, max_value=8), st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_eig_sym_reconstructs(self, n, seed):
         rng = np.random.default_rng(seed)
         s = random_sym(rng, n)

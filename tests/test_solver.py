@@ -15,7 +15,6 @@ from lurecert.solver import (
     SolveOptions,
     StructuralError,
     _BarrierModel,
-    _initial_t,
     audit,
     solve,
 )
@@ -54,12 +53,19 @@ class TestTrivialInstances:
             return linalg.brack(v["P"] @ a)
 
         prob = FeasibilityProblem(pencil_from_function(layout, blocks),
-                                  positivity=(("P", None),),
-                                  trace_normalize=("P",))
+                                  positivity=(("P", None),))
         res = solve(prob)
         assert res.status == FEASIBLE
-        assert np.trace(res.witness["P"]) == pytest.approx(2.0, abs=1e-8)
         assert linalg.is_pd(res.witness["P"], tol=0.0)[0]
+
+    @pytest.mark.parametrize("box", [0.5, 0.05])
+    def test_small_box_starts_inside(self, box):
+        # p <= 0.1 with p >= eps: feasible points lie inside any box > eps
+        prob = FeasibilityProblem(scalar_pencil(0.1), positivity=(("P", None),),
+                                  box=box)
+        res = solve(prob)
+        assert res.status == FEASIBLE
+        assert 0 < res.witness["P"][0, 0] < min(0.1, box)
 
     def test_unstable_direction_infeasible(self):
         layout = VariableLayout([VariableLayout.sym("P", 1)])
@@ -69,8 +75,7 @@ class TestTrivialInstances:
             return linalg.brack(v["P"] @ a)
 
         prob = FeasibilityProblem(pencil_from_function(layout, blocks),
-                                  positivity=(("P", None),),
-                                  trace_normalize=("P",))
+                                  positivity=(("P", None),))
         res = solve(prob)
         assert res.status == INFEASIBLE
 
@@ -104,7 +109,7 @@ class TestContract:
     def test_margin_min_respected(self):
         # feasible region is p in [eps, 1]; demanding margin 2 is impossible
         prob = FeasibilityProblem(scalar_pencil(1.0), positivity=(("P", None),))
-        res = solve(prob, SolveOptions(margin_min=2.0, margin_stop=3.0))
+        res = solve(prob, SolveOptions(margin_min=2.0))
         assert res.status != FEASIBLE
 
 
@@ -221,10 +226,8 @@ def random_barrier_problem(rng, box):
 
 def interior_point(model, rng):
     """The solver's starting point, moved a little inside the domain."""
-    z = np.zeros(model.nz)
-    z[model.p] = _initial_t(model)
     while True:
-        zr = z + 0.1 * rng.normal(size=model.nz)
+        zr = model.z0 + 0.1 * rng.normal(size=model.nz)
         if model.phi(zr) is not None:
             return zr
 
@@ -233,7 +236,7 @@ def block_slacks(model, z):
     """lambda_min of each LMI block and min slack of the box, at z."""
     out = [float(np.linalg.eigvalsh(-(c + np.tensordot(z, a, axes=(0, 0))))[0])
            for c, a in model.blocks]
-    out.append(float(np.min(model.box_b - model.box_g @ z)))
+    out.append(float(np.min(model.box - np.abs(z[:model.n]))))
     return np.array(out)
 
 
@@ -251,7 +254,7 @@ class TestBarrierModel:
             # that only the box can stop it
             box_dz = np.zeros(model.nz)
             box_dz[prob.pencil.layout.group_slice("Z")] = rng.normal(size=2)
-            box_dz[model.p] = -100.0
+            box_dz[model.n] = -100.0
             for dz in (rng.normal(size=model.nz), box_dz):
                 assert model.barrier(z) is not None
                 alpha = model.max_step(dz)
@@ -292,8 +295,7 @@ class TestBarrierModel:
         spec = LmiSpec("DT-Lip-analysis", sys,
                        Lipschitz(0.2, np.eye(2), np.eye(2)), 0.95)
         pencil = spec.build(Gains(np.zeros((2, n_x)), np.zeros((2, 2))))
-        prob = FeasibilityProblem(pencil, positivity=(("P", None),),
-                                  trace_normalize=("P",))
+        prob = FeasibilityProblem(pencil, positivity=(("P", None),))
         calls = {"barrier": 0, "phi": 0}
 
         def counting(name):
@@ -310,3 +312,19 @@ class TestBarrierModel:
         assert res.status == INFEASIBLE
         assert calls["barrier"] == res.iterations
         assert calls["phi"] <= 2 * res.iterations
+
+    def test_infeasible_stops_before_the_gap_tolerance(self):
+        # the same analysis is decided at a centered point whose bound
+        # t + mu * nu is below margin_min, long before mu * nu <= GAP_TOL
+        n_x = 10
+        sys = random_lure(np.random.default_rng(1000 + n_x), n_x, 2, 2, 2,
+                          "discrete", stable=True)
+        spec = LmiSpec("DT-Lip-analysis", sys,
+                       Lipschitz(0.2, np.eye(2), np.eye(2)), 0.95)
+        pencil = spec.build(Gains(np.zeros((2, n_x)), np.zeros((2, 2))))
+        prob = FeasibilityProblem(pencil, positivity=(("P", None),))
+        res = solve(prob)
+        assert res.status == INFEASIBLE
+        assert res.diagnostics["t_upper_bound"] < SolveOptions().margin_min
+        nu = _BarrierModel(prob).nu
+        assert res.diagnostics["barrier_mu"] * nu > solver.GAP_TOL
