@@ -3,7 +3,8 @@
 Subcommands: analyze, synthesize, simulate, check, demo-paper.  Exit codes
 are a stable contract: 0 success/feasible/no-violation, 1 usage or
 schema/IO error, 2 negative finding (infeasible, violated, reproduction
-mismatch), 3 undetermined.
+mismatch, diverging trajectory), 3 undetermined.  Commands raise on every
+failure and only `main` maps exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__, linalg
-from .catalog import ALL_TAGS, LmiSpec, PreconditionError, analysis_margin, auto_tag
+from .catalog import ALL_TAGS, LmiSpec, analysis_margin, auto_tag
 from .demo import run_demo
 from .model import DISCRETE, Lipschitz, Monotone, SectorBounded, close_loop, recover_gains
 from .nonlin import (
@@ -26,9 +27,9 @@ from .nonlin import (
     check_monotone,
     check_sector_incremental,
 )
-from .problemio import ProblemFileError, load_problem, write_report
+from .problemio import build_report, jsonable, load_pairs, load_problem, write_report
 from .psilib import get_builtin
-from .simulate import sweep_pairs, write_trajectory_csv
+from .simulate import DivergenceError, random_pairs, sweep_pairs, write_trajectory_csv
 from .solver import FEASIBLE, INFEASIBLE, UNDETERMINED, FeasibilityProblem, SolveOptions, solve
 from .svgplot import Series, write_line_plot
 
@@ -38,6 +39,10 @@ EXIT_NEGATIVE = 2
 EXIT_UNDETERMINED = 3
 
 SEED_ENV = "LURE_CONTRACT_SEED"
+
+
+class UsageError(ValueError):
+    """The command line asks for something the problem cannot give."""
 
 
 def _default_seed(args) -> int:
@@ -55,15 +60,13 @@ def _solve_options(problem, args) -> SolveOptions:
 
 
 def _emit(args, command, digest, status, payload, t0):
-    doc = None
+    """Build the report, write it to --out if given and print it unless --quiet."""
+    doc = build_report(command, digest, status, payload,
+                       time.perf_counter() - t0, __version__)
     if args.out:
-        doc = write_report(args.out, command, digest, status, payload,
-                           time.perf_counter() - t0, __version__)
+        write_report(args.out, doc)
     if not args.quiet:
-        if doc is None:
-            doc = {"command": command, "status": status,
-                   **{k: v for k, v in payload.items()}}
-        print(json.dumps(doc, default=lambda o: np.asarray(o).tolist(), indent=2))
+        print(json.dumps(doc, indent=2))
 
 
 def _status_exit(status: str) -> int:
@@ -74,22 +77,25 @@ def _status_exit(status: str) -> int:
     return EXIT_UNDETERMINED
 
 
-def _spec(problem, tag: str, analysis: bool):
-    """The inequality ``tag`` for the problem, or None after a usage message
-    when ``tag`` is not of the kind (analysis or synthesis) the command takes."""
+def _spec(problem, tag: str, analysis: bool) -> LmiSpec:
+    """The inequality ``tag`` ("auto" picks one) for the problem; a
+    UsageError when it is not of the kind (analysis or synthesis) asked for."""
+    if tag == "auto":
+        tag = auto_tag(problem.system, problem.nonlinearity, analysis=analysis)
     spec = LmiSpec(tag=tag, system=problem.system,
                    nonlinearity=problem.nonlinearity, eta=problem.eta)
     if spec.is_analysis != analysis:
         kind, command = (("an analysis", "analyze") if spec.is_analysis
                          else ("a synthesis", "synthesize"))
-        print(f"error: --theorem {tag} is {kind} form; use `lurecert {command}`",
-              file=sys.stderr)
-        return None
+        raise UsageError(f"--theorem {tag} is {kind} form; use `lurecert {command}`")
     return spec
 
 
 def _solve_analysis(problem, args, spec: LmiSpec):
     """Solve the analysis inequality ``spec`` in P for the problem's gains."""
+    if problem.gains is None:
+        raise UsageError(
+            f"{args.command} requires a `gains` section in the problem file")
     prob = FeasibilityProblem(pencil=spec.build(problem.gains),
                               positivity=(("P", None),))
     return solve(prob, _solve_options(problem, args))
@@ -98,18 +104,10 @@ def _solve_analysis(problem, args, spec: LmiSpec):
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     problem = load_problem(args.problem)
-    if problem.gains is None:
-        print("error: analysis requires a `gains` section in the problem file",
-              file=sys.stderr)
-        return EXIT_USAGE
-    tag = (args.theorem if args.theorem != "auto"
-           else auto_tag(problem.system, problem.nonlinearity, analysis=True))
-    spec = _spec(problem, tag, analysis=True)
-    if spec is None:
-        return EXIT_USAGE
+    spec = _spec(problem, args.theorem, analysis=True)
     result = _solve_analysis(problem, args, spec)
     payload = {
-        "theorem": tag,
+        "theorem": spec.tag,
         "eta": problem.eta,
         "P": result.witness.get("P"),
         "margin": result.margin,
@@ -123,15 +121,11 @@ def cmd_analyze(args) -> int:
 def cmd_synthesize(args) -> int:
     t0 = time.perf_counter()
     problem = load_problem(args.problem)
-    tag = (args.theorem if args.theorem != "auto"
-           else auto_tag(problem.system, problem.nonlinearity, analysis=False))
-    spec = _spec(problem, tag, analysis=False)
-    if spec is None:
-        return EXIT_USAGE
+    spec = _spec(problem, args.theorem, analysis=False)
     prob = FeasibilityProblem(pencil=spec.build(), positivity=(("W", None),))
     result = solve(prob, _solve_options(problem, args))
     payload = {
-        "theorem": tag,
+        "theorem": spec.tag,
         "eta": problem.eta,
         "margin": result.margin,
         "iterations": result.iterations,
@@ -164,44 +158,24 @@ def cmd_synthesize(args) -> int:
 
 
 def _psi_for_problem(problem, name: str):
-    return get_builtin(name, n_y=problem.system.n_y, n_psi=problem.system.n_psi)
+    try:
+        return get_builtin(name, n_y=problem.system.n_y, n_psi=problem.system.n_psi)
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from exc
 
 
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     problem = load_problem(args.problem)
-    if problem.gains is None:
-        print("error: simulation requires a `gains` section in the problem file",
-              file=sys.stderr)
-        return EXIT_USAGE
-    sim = problem.simulation_options
-    steps = args.steps if args.steps is not None else int(sim.get("steps", 10))
-    t_end = args.t_end if args.t_end is not None else float(sim.get("t_end", 10.0))
-    dt = args.dt if args.dt is not None else float(sim.get("dt", 1e-3))
-    discrete = problem.system.domain == DISCRETE
-    if discrete and steps < 1:
-        print("error: steps must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    psi_names = problem.builtin_psi or ("zero",)
-    try:
-        psis = [_psi_for_problem(problem, n) for n in psi_names]
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    if args.pairs:
-        with open(args.pairs) as fh:
-            pairs = [(np.array(a, dtype=float), np.array(b, dtype=float))
-                     for a, b in json.load(fh)]
-    else:
-        rng = np.random.default_rng(_default_seed(args))
-        pairs = [(rng.uniform(-1, 1, problem.system.n_x),
-                  rng.uniform(-1, 1, problem.system.n_x))]
+    grid = {**problem.simulation_options,
+            **{k: getattr(args, k) for k in ("steps", "t_end", "dt")
+               if getattr(args, k) is not None}}
+    psis = [_psi_for_problem(problem, n) for n in problem.builtin_psi or ("zero",)]
+    pairs = (load_pairs(args.pairs) if args.pairs
+             else random_pairs(problem.system.n_x, _default_seed(args), n_pairs=1))
 
     # measure contraction against a certificate P from the analysis solve
-    result = _solve_analysis(problem, args, _spec(
-        problem, auto_tag(problem.system, problem.nonlinearity, analysis=True),
-        analysis=True))
+    result = _solve_analysis(problem, args, _spec(problem, "auto", analysis=True))
     p = result.witness["P"] if result.status == FEASIBLE else np.eye(problem.system.n_x)
 
     cl = close_loop(problem.system, problem.gains)
@@ -210,7 +184,7 @@ def cmd_simulate(args) -> int:
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
     max_ratio = -np.inf
     max_energy = -np.inf
-    sweep = sweep_pairs(cl, psis, pairs, p, problem.eta, steps, t_end, dt)
+    sweep = sweep_pairs(cl, psis, pairs, p, problem.eta, **grid)
     for n, (psi, qi, t1, t2, rep) in enumerate(sweep):
         max_ratio = max(max_ratio, rep.max_ratio)
         max_energy = max(max_energy, rep.max_energy_ratio)
@@ -230,7 +204,8 @@ def cmd_simulate(args) -> int:
                              dashed=True, label=f"{psi.name} b"))
     if args.plot:
         write_line_plot(args.plot, series, title="First state trajectories",
-                        xlabel="k" if discrete else "t", ylabel="x1")
+                        xlabel="k" if problem.system.domain == DISCRETE else "t",
+                        ylabel="x1")
     payload = {
         "certificate_status": result.status,
         "P": p,
@@ -246,11 +221,7 @@ def cmd_simulate(args) -> int:
 def cmd_check(args) -> int:
     t0 = time.perf_counter()
     problem = load_problem(args.problem)
-    try:
-        psi = _psi_for_problem(problem, args.psi)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    psi = _psi_for_problem(problem, args.psi)
     sch = SampleScheme(count=args.samples, seed=_default_seed(args))
     nc = problem.nonlinearity
     if isinstance(nc, Lipschitz):
@@ -273,12 +244,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_demo_paper(args) -> int:
-    out_dir = args.out or "demo-out"
-    try:
-        summary = run_demo(out_dir=out_dir)
-    except OSError as exc:
-        print(f"error: cannot write demo output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    summary = run_demo(out_dir=args.out or "demo-out")
     payload = {
         "witness_lambda_max": summary.witness_lambda_max,
         "K": summary.gains.K,
@@ -289,11 +255,8 @@ def cmd_demo_paper(args) -> int:
         "per_psi_max_energy": summary.per_psi_max_energy,
         "ok": summary.ok,
     }
-    status = "ok" if summary.ok else "mismatch"
     if not args.quiet:
-        print(json.dumps({k: np.asarray(v).tolist() if isinstance(v, np.ndarray)
-                          else v for k, v in payload.items()}, indent=2,
-                         default=lambda o: np.asarray(o).tolist()))
+        print(json.dumps(jsonable(payload), indent=2))
     return EXIT_OK if summary.ok else EXIT_NEGATIVE
 
 
@@ -349,16 +312,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a bad command line; 2 is a negative finding here
+        return EXIT_USAGE if exc.code == 2 else exc.code
     try:
         return args.fn(args)
-    except ProblemFileError as exc:
+    except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PreconditionError, linalg.DimensionError, ValueError) as exc:
+        return EXIT_NEGATIVE
+    except (OSError, ValueError) as exc:
+        # ProblemFileError, UsageError, PreconditionError, DimensionError, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -176,20 +176,3 @@ def inverse(m) -> np.ndarray:
         )
     return np.linalg.inv(a)
 
-
-def solve(m, rhs) -> np.ndarray:
-    """Solve M x = rhs for a square, well-conditioned M."""
-    a = as_matrix(m, "solve matrix")
-    b = np.asarray(rhs, dtype=float)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"solve requires a square matrix, got {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise DimensionError(
-            f"rhs has {b.shape[0]} rows, expected {a.shape[0]}"
-        )
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > COND_CAP:
-        raise SingularMatrixError(
-            f"matrix is singular or ill-conditioned (cond estimate {cond:.3e})"
-        )
-    return np.linalg.solve(a, b)

@@ -1,14 +1,16 @@
 """Problem-file parsing and report emission for the CLI.
 
 Problem files are JSON documents with an explicit schema_version; they are
-schema-validated before any numerics so malformed input yields a
-path-to-field diagnostic instead of a numpy traceback.
+schema-validated before any numerics, and every number must be a finite
+double, so malformed input yields a path-to-field diagnostic instead of a
+numpy traceback.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -90,6 +92,14 @@ PROBLEM_SCHEMA = {
 }
 
 
+# [[x0a, x0b], ...]: the initial-state pairs of `lurecert simulate --pairs`
+PAIRS_SCHEMA = {
+    "type": "array",
+    "minItems": 1,
+    "items": {"type": "array", "minItems": 2, "maxItems": 2, "items": _MATRIX["items"]},
+}
+
+
 class ProblemFileError(ValueError):
     """Problem file failed schema or consistency validation."""
 
@@ -140,16 +150,28 @@ def _nonlinearity(doc) -> NonlinearityClass:
         raise ProblemFileError(f"nonlinearity: {exc}") from exc
 
 
-def parse_problem(text: str) -> Problem:
+def _parse(text: str, schema: dict):
+    """The JSON document in ``text``, valid against ``schema``."""
+    # a literal that is no finite double (NaN, Infinity, 1e400) stays text,
+    # which the schema then rejects at its path
+    def number(cast):
+        return lambda literal: cast(literal) if math.isfinite(float(literal)) else literal
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=number(float), parse_int=number(int),
+                         parse_constant=number(float))
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"not valid JSON: {exc}") from exc
     try:
-        jsonschema.validate(doc, PROBLEM_SCHEMA)
+        jsonschema.validate(doc, schema)
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "(document root)"
         raise ProblemFileError(f"schema violation at {path}: {exc.message}") from exc
+    return doc
+
+
+def parse_problem(text: str) -> Problem:
+    doc = _parse(text, PROBLEM_SCHEMA)
     s = doc["system"]
     try:
         system = LureSystem(A=_mat(s, "A"), B=_mat(s, "B"), B_psi=_mat(s, "B_psi"),
@@ -168,7 +190,9 @@ def parse_problem(text: str) -> Problem:
         system=system, nonlinearity=nc, eta=float(doc["eta"]), gains=gains,
         builtin_psi=tuple(doc.get("builtin_psi", ())),
         solver_options=dict(doc.get("solver", {})),
-        simulation_options=dict(doc.get("simulation", {})),
+        # the schema lets an integer be written 10.0
+        simulation_options={k: int(v) if k == "steps" else v
+                            for k, v in doc.get("simulation", {}).items()},
         digest=digest,
     )
 
@@ -178,30 +202,45 @@ def load_problem(path) -> Problem:
         return parse_problem(fh.read())
 
 
-def _jsonable(obj):
+def load_pairs(path) -> list:
+    """The initial-state pairs [(x0a, x0b), ...] in a JSON file."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        doc = _parse(text, PAIRS_SCHEMA)
+    except ProblemFileError as exc:
+        raise ProblemFileError(f"pairs file {path}: {exc}") from exc
+    return [(np.array(a, dtype=float), np.array(b, dtype=float)) for a, b in doc]
+
+
+def jsonable(obj):
+    """``obj`` with numpy arrays and scalars turned into JSON types."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [jsonable(v) for v in obj]
     return obj
 
 
-def write_report(path, command: str, digest: str, status: str, payload: dict,
-                 wall_time: float, version: str):
-    """Emit the machine-readable result document."""
-    doc = {
+def build_report(command: str, digest: str, status: str, payload: dict,
+                 wall_time: float, version: str) -> dict:
+    """The machine-readable result document, in JSON types."""
+    return {
         "command": command,
         "input_digest": digest,
         "status": status,
         "tool_version": version,
         "wall_time_seconds": wall_time,
-        **_jsonable(payload),
+        **jsonable(payload),
     }
+
+
+def write_report(path, doc: dict):
+    """Write the result document ``doc`` to ``path``."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
-    return doc

@@ -65,12 +65,13 @@ def simulate_dt(cl: ClosedLoop, psi: NonlinearFn, x0, steps: int) -> Trajectory:
     states = np.empty((steps + 1, cl.n_x))
     states[0] = x
     evals = 0
-    for k in range(steps):
-        x = cl.A_cl @ x + cl.B_cl @ psi(cl.C @ x)
-        evals += 1
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(k + 1)
-        states[k + 1] = x
+    with np.errstate(over="ignore", invalid="ignore"):  # DivergenceError reports it
+        for k in range(steps):
+            x = cl.A_cl @ x + cl.B_cl @ psi(cl.C @ x)
+            evals += 1
+            if not np.all(np.isfinite(x)):
+                raise DivergenceError(k + 1)
+            states[k + 1] = x
     return Trajectory(times=np.arange(steps + 1, dtype=float), states=states,
                       domain=DISCRETE, psi_name=psi.name, psi_evaluations=evals)
 
@@ -82,8 +83,8 @@ def simulate_ct(cl: ClosedLoop, psi: NonlinearFn, x0, t_end: float,
         raise ValueError("simulate_ct requires a continuous-time loop")
     if not dt > 0:
         raise ValueError("dt must be positive")
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < np.inf:
+        raise ValueError("t_end must be positive and finite")
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if x.shape != (cl.n_x,):
         raise linalg.DimensionError(f"x0 has shape {x.shape}, expected ({cl.n_x},)")
@@ -97,15 +98,16 @@ def simulate_ct(cl: ClosedLoop, psi: NonlinearFn, x0, t_end: float,
 
     states = np.empty((n_steps + 1, cl.n_x))
     states[0] = x
-    for k in range(n_steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
-        x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(k + 1)
-        states[k + 1] = x
+    with np.errstate(over="ignore", invalid="ignore"):  # DivergenceError reports it
+        for k in range(n_steps):
+            k1 = f(x)
+            k2 = f(x + 0.5 * dt * k1)
+            k3 = f(x + 0.5 * dt * k2)
+            k4 = f(x + dt * k3)
+            x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.all(np.isfinite(x)):
+                raise DivergenceError(k + 1)
+            states[k + 1] = x
     return Trajectory(times=dt * np.arange(n_steps + 1), states=states,
                       domain=CONTINUOUS, psi_name=psi.name, psi_evaluations=evals)
 
@@ -195,6 +197,13 @@ def sweep_pairs(cl: ClosedLoop, psis: Iterable[NonlinearFn], pairs, p, eta: floa
             yield psi, i, ta, tb, rate_estimate(ta, tb, p, eta=eta)
 
 
+def random_pairs(n_x: int, seed: int = 0, n_pairs: int = 5) -> list:
+    """``n_pairs`` initial-state pairs drawn uniformly from [-1, 1]^n_x."""
+    rng = np.random.default_rng(seed)
+    return [(rng.uniform(-1.0, 1.0, n_x), rng.uniform(-1.0, 1.0, n_x))
+            for _ in range(n_pairs)]
+
+
 def certify_empirically(sys: LureSystem, gains: Gains, psis: Iterable[NonlinearFn],
                         p, eta: float, initial_pairs=None, steps: int = 10,
                         t_end: float = 10.0, dt: float = 1e-3,
@@ -210,11 +219,7 @@ def certify_empirically(sys: LureSystem, gains: Gains, psis: Iterable[NonlinearF
     cl = close_loop(sys, gains)
     p = linalg.as_sym(p, "P")
     if initial_pairs is None:
-        rng = np.random.default_rng(seed)
-        initial_pairs = [
-            (rng.uniform(-1.0, 1.0, sys.n_x), rng.uniform(-1.0, 1.0, sys.n_x))
-            for _ in range(n_pairs)
-        ]
+        initial_pairs = random_pairs(sys.n_x, seed, n_pairs)
     if cl.domain == DISCRETE:
         threshold = float(eta)
     else:

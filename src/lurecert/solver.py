@@ -47,8 +47,9 @@ class StructuralError(ValueError):
 class FeasibilityProblem:
     """An affine pencil constraint plus positivity side conditions.
 
-    positivity: (group name, eps) pairs requiring group >= eps * I; eps
-    None picks DEFAULT_EPS.
+    positivity: (group name, eps) pairs requiring group >= eps * I, with
+    0 < eps < box; eps None picks DEFAULT_EPS, and construction stores the
+    resolved float.
     box: half-width of the coordinate box |x_i| <= box.
     """
 
@@ -57,25 +58,21 @@ class FeasibilityProblem:
     box: float = DEFAULT_BOX
 
     def __post_init__(self):
+        if not self.box > 0:
+            raise StructuralError("box must be positive")
         groups = self.pencil.layout.groups
-        object.__setattr__(self, "positivity", tuple(
-            (g, e) for g, e in self.positivity
-        ))
-        for g, _ in self.positivity:
+        resolved = []
+        for g, eps in self.positivity:
             if g not in groups:
                 raise StructuralError(f"positivity references unknown group {g!r}")
             if groups[g].kind != SYM:
                 raise StructuralError(f"positivity group {g!r} is not symmetric")
-        if not self.box > 0:
-            raise StructuralError("box must be positive")
-
-    def eps_for(self, group: str, eps) -> float:
-        if eps is None:
-            return DEFAULT_EPS
-        eps = float(eps)
-        if not eps > 0:
-            raise StructuralError("eps must be positive")
-        return eps
+            eps = DEFAULT_EPS if eps is None else float(eps)
+            if not 0 < eps < self.box:
+                raise StructuralError(
+                    f"eps of group {g!r} must lie in (0, box = {self.box}), got {eps}")
+            resolved.append((g, eps))
+        object.__setattr__(self, "positivity", tuple(resolved))
 
 
 @dataclass(frozen=True)
@@ -125,13 +122,11 @@ def audit(prob: FeasibilityProblem, witness: dict,
     Pure and solver-independent; this is the check every feasible verdict
     must pass.
     """
-    layout = prob.pencil.layout
     f = prob.pencil.evaluate(witness)
     lmax = float(linalg.eigvals_sym(f)[-1])
     pos = {}
     ok = lmax <= -margin_min
     for g, eps in prob.positivity:
-        eps = prob.eps_for(g, eps)
         lmin = float(linalg.eigvals_sym(witness[g])[0])
         pos[g] = lmin
         # tiny absolute slack for roundoff at the eps boundary
@@ -161,8 +156,9 @@ class _BarrierModel:
         blocks = [(0.5 * (f0 + f0.T),
                    np.concatenate([prob.pencil.basis, np.eye(m)[None]]))]
 
-        # positivity: eps I - G(x) <= 0.  Each group starts at min(1, box/2) I,
-        # inside the box; other coordinates start at 0.
+        # positivity: eps I - G(x) <= 0.  Each group starts at v I with v
+        # strictly inside (eps, box): 1 for the default eps and a box >= 2;
+        # other coordinates start at 0.
         x0 = np.zeros(n)
         for g, eps in prob.positivity:
             grp = layout.groups[g]
@@ -172,8 +168,8 @@ class _BarrierModel:
             a = np.zeros((self.nz, dim, dim))
             a[k, i, j] = -1.0
             a[k, j, i] = -1.0
-            blocks.append((prob.eps_for(g, eps) * np.eye(dim), a))
-            x0[k[i == j]] = min(1.0, prob.box / 2)
+            blocks.append((eps * np.eye(dim), a))
+            x0[k[i == j]] = min(max(1.0, 2 * eps), (eps + prob.box) / 2)
 
         self.blocks = blocks
         # whitened coefficients Y = L^{-1} A L^{-T}, rewritten by barrier()
@@ -273,7 +269,7 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
     n = model.n
     z = model.z0
     if model.phi(z) is None:
-        # only a positivity eps >= min(1, box/2) puts the start outside
+        # the start is strictly inside unless round-off closes (eps, box)
         return FeasibilityResult(
             status=UNDETERMINED, witness=prob.pencil.layout.unpack(z[:n]),
             margin=float("nan"), positivity_margins={}, iterations=0,

@@ -78,7 +78,6 @@ def grid_oracle(prob, n=81):
           + np.tensordot(xs, prob.pencil.basis, axes=(1, 0)))
     scores = np.linalg.eigvalsh(fs)[:, -1]
     for gname, eps in prob.positivity:
-        eps = prob.eps_for(gname, eps)
         g = layout.groups[gname]
         # only 1x1 positivity groups appear in 2-coordinate problems
         assert g.size == 1

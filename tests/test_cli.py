@@ -357,6 +357,76 @@ class TestCheckCommand:
         assert main(["check", path, "--psi", "cubic", "--quiet"]) == 1
 
 
+DIVERGING_DT = {
+    "schema_version": 1,
+    "system": {"A": [[3.0]], "B": [[0.0]], "B_psi": [[1.0]], "C": [[1.0]],
+               "domain": "discrete"},
+    "nonlinearity": {"variant": "lipschitz", "rho": 0.1,
+                     "theta_y": [[1.0]], "theta_psi": [[1.0]]},
+    "eta": 0.9,
+    "gains": {"K": [[0.0]], "K_psi": [[0.0]]},
+}
+
+
+class TestExitCodes:
+    """Every failure leaves `main` as an exit code, never as a traceback."""
+
+    @staticmethod
+    def reference_text(old, new):
+        text = json.dumps(REFERENCE_PROBLEM)
+        assert old in text
+        return text.replace(old, new, 1)
+
+    @pytest.mark.parametrize("argv, code, err", [
+        # argparse exits 2, which would read as a negative finding
+        (["analyze"], 1, "required"),
+        (["analyze", "{problem}", "--theorem", "bogus"], 1, "invalid choice"),
+        (["frobnicate", "{problem}"], 1, "invalid choice"),
+        (["check", "{problem}"], 1, "--psi"),
+        (["simulate", "{ct}", "--t-end", "inf"], 1, "t_end"),
+        # non-finite numbers are rejected when the file is parsed
+        (["analyze", "{overflow}"], 1, "at system/A/0/0: '1e400' is not"),
+        (["analyze", "{nan}"], 1, "at eta: 'NaN' is not"),
+        (["simulate", "{problem}", "--pairs", "{pairs}"], 1, "'1e400' is not"),
+        (["simulate", "{diverging}", "--steps", "1000"], 2, "diverged at step"),
+        # RK4 at a step far beyond the stability limit of the stable CT loop
+        (["simulate", "{ct}", "--dt", "10", "--t-end", "1e4"], 2, "diverged at step"),
+    ])
+    def test_exit_code(self, tmp_path, capsys, argv, code, err):
+        files = {
+            "problem": json.dumps(REFERENCE_PROBLEM),
+            "overflow": self.reference_text('"A": [[1.2', '"A": [[1e400'),
+            "nan": self.reference_text('"eta": 0.9', '"eta": NaN'),
+            "pairs": "[[[1, 1, 1], [-1, -1, 1e400]]]",
+            "diverging": json.dumps(DIVERGING_DT),
+            "ct": json.dumps(dict(SCALAR_INFEASIBLE, system=dict(
+                SCALAR_INFEASIBLE["system"], A=[[-1.0]]))),
+        }
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(text)
+        argv = [a.format(**paths) for a in argv] + ["--quiet"]
+        assert main(argv) == code
+        assert err in capsys.readouterr().err
+
+
+class TestReportDocument:
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["synthesize"], ["simulate", "--steps", "5"],
+        ["check", "--psi", "paper2", "--samples", "200"],
+    ])
+    def test_stdout_is_the_report(self, tmp_path, capsys, argv):
+        path = write_problem(tmp_path, REFERENCE_PROBLEM)
+        out = tmp_path / "report.json"
+        main([argv[0], path, *argv[1:]])
+        printed = json.loads(capsys.readouterr().out)
+        main([argv[0], path, *argv[1:], "--out", str(out), "--quiet"])
+        written = json.loads(out.read_text())
+        del printed["wall_time_seconds"], written["wall_time_seconds"]
+        assert printed == written
+
+
 class TestDemoCommand:
     def test_demo_runs_and_writes_artifacts(self, tmp_path):
         out_dir = tmp_path / "demo"

@@ -122,13 +122,3 @@ class TestInverseSolve:
     def test_inverse_refuses_ill_conditioned(self):
         with pytest.raises(linalg.SingularMatrixError):
             linalg.inverse(np.diag([1.0, 1e-15]))
-
-    def test_solve_matches_inverse(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
-        b = rng.normal(size=3)
-        assert np.allclose(a @ linalg.solve(a, b), b)
-
-    def test_solve_shape_mismatch(self):
-        with pytest.raises(linalg.DimensionError):
-            linalg.solve(np.eye(2), np.zeros(3))

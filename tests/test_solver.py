@@ -67,6 +67,14 @@ class TestTrivialInstances:
         assert res.status == FEASIBLE
         assert 0 < res.witness["P"][0, 0] < min(0.1, box)
 
+    @pytest.mark.parametrize("eps", [2.0, 9.0])
+    def test_large_eps_starts_inside(self, eps):
+        # p <= 10 with p >= eps: feasible for any eps < 10
+        prob = FeasibilityProblem(scalar_pencil(10.0), positivity=(("P", eps),))
+        res = solve(prob)
+        assert res.status == FEASIBLE
+        assert eps <= res.witness["P"][0, 0] < 10.0
+
     def test_unstable_direction_infeasible(self):
         layout = VariableLayout([VariableLayout.sym("P", 1)])
         a = np.array([[0.5]])
@@ -126,9 +134,14 @@ class TestStructure:
             FeasibilityProblem(pencil, positivity=(("Z", None),))
 
     def test_bad_eps(self):
-        prob = FeasibilityProblem(scalar_pencil(1.0))
+        # checked at construction, not first inside solve
         with pytest.raises(StructuralError):
-            prob.eps_for("P", -1.0)
+            FeasibilityProblem(scalar_pencil(1.0), positivity=(("P", -1.0),))
+
+    @pytest.mark.parametrize("eps", [1e4, 2e4])
+    def test_eps_must_lie_below_the_box(self, eps):
+        with pytest.raises(StructuralError):
+            FeasibilityProblem(scalar_pencil(1.0), positivity=(("P", eps),))
 
     def test_bad_box(self):
         with pytest.raises(StructuralError):
