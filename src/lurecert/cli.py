@@ -311,9 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once: parsing leaves no state in the parser, so every call reuses it
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a bad command line; 2 is a negative finding here
         return EXIT_USAGE if exc.code == 2 else exc.code
@@ -322,8 +326,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except (OSError, ValueError) as exc:
-        # ProblemFileError, UsageError, PreconditionError, DimensionError, ...
+    except (MemoryError, OSError, ValueError) as exc:
+        # ProblemFileError, UsageError, PreconditionError, DimensionError, a
+        # simulation grid too large to allocate, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

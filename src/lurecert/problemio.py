@@ -8,14 +8,16 @@ numpy traceback.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .model import Gains, Lipschitz, LureSystem, Monotone, NonlinearityClass, SectorBounded
 
@@ -150,8 +152,19 @@ def _nonlinearity(doc) -> NonlinearityClass:
         raise ProblemFileError(f"nonlinearity: {exc}") from exc
 
 
-def _parse(text: str, schema: dict):
-    """The JSON document in ``text``, valid against ``schema``."""
+@functools.cache
+def _validator(name: str):
+    """The validator of schema ``name`` ("problem" or "pairs"); the schema
+    itself is checked once per process."""
+    schema = {"problem": PROBLEM_SCHEMA, "pairs": PAIRS_SCHEMA}[name]
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _parse(text: str, name: str):
+    """The JSON document in ``text``, valid against schema ``name``
+    ("problem" or "pairs")."""
     # a literal that is no finite double (NaN, Infinity, 1e400) stays text,
     # which the schema then rejects at its path
     def number(cast):
@@ -162,16 +175,16 @@ def _parse(text: str, schema: dict):
                          parse_constant=number(float))
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "(document root)"
-        raise ProblemFileError(f"schema violation at {path}: {exc.message}") from exc
+    # the best-ranked error, as jsonschema.validate reports it, not the first found
+    error = best_match(_validator(name).iter_errors(doc))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "(document root)"
+        raise ProblemFileError(f"schema violation at {path}: {error.message}")
     return doc
 
 
 def parse_problem(text: str) -> Problem:
-    doc = _parse(text, PROBLEM_SCHEMA)
+    doc = _parse(text, "problem")
     s = doc["system"]
     try:
         system = LureSystem(A=_mat(s, "A"), B=_mat(s, "B"), B_psi=_mat(s, "B_psi"),
@@ -207,7 +220,7 @@ def load_pairs(path) -> list:
     with open(path) as fh:
         text = fh.read()
     try:
-        doc = _parse(text, PAIRS_SCHEMA)
+        doc = _parse(text, "pairs")
     except ProblemFileError as exc:
         raise ProblemFileError(f"pairs file {path}: {exc}") from exc
     return [(np.array(a, dtype=float), np.array(b, dtype=float)) for a, b in doc]

@@ -1,13 +1,15 @@
 """Tests for problem-file parsing and the command-line driver."""
 
+import gc
 import json
 
 import numpy as np
 import pytest
+from jsonschema.validators import validator_for
 
 from lurecert import cli
 from lurecert.cli import main
-from lurecert.problemio import ProblemFileError, parse_problem
+from lurecert.problemio import PAIRS_SCHEMA, PROBLEM_SCHEMA, ProblemFileError, parse_problem
 from lurecert.solver import FEASIBLE, FeasibilityResult
 
 from helpers import random_lure
@@ -96,6 +98,11 @@ class TestParseProblem:
         doc["system"]["A"] = [[1.0, 0.0], [1.0]]
         with pytest.raises(ProblemFileError):
             parse_problem(json.dumps(doc))
+
+    @pytest.mark.parametrize("schema", [PROBLEM_SCHEMA, PAIRS_SCHEMA],
+                             ids=["problem", "pairs"])
+    def test_schema_is_valid(self, schema):
+        validator_for(schema).check_schema(schema)
 
     def test_digest_tracks_content(self):
         a = parse_problem(json.dumps(REFERENCE_PROBLEM))
@@ -388,6 +395,15 @@ class TestExitCodes:
         (["analyze", "{overflow}"], 1, "at system/A/0/0: '1e400' is not"),
         (["analyze", "{nan}"], 1, "at eta: 'NaN' is not"),
         (["simulate", "{problem}", "--pairs", "{pairs}"], 1, "'1e400' is not"),
+        # two schema errors: the one reported is jsonschema's best match
+        (["analyze", "{two_errors}"], 1,
+         "schema violation at system/domain: 'hybrid' is not one of "
+         "['continuous', 'discrete']"),
+        (["simulate", "{problem}", "--pairs", "{two_error_pairs}"], 1,
+         "schema violation at 1: [[1, 1, 1]] is too short"),
+        # grids larger than any address space are refused at once
+        (["simulate", "{problem}", "--steps", str(10**16)], 1, "Unable to allocate"),
+        (["simulate", "{ct}", "--t-end", "1e14"], 1, "Unable to allocate"),
         (["simulate", "{diverging}", "--steps", "1000"], 2, "diverged at step"),
         # RK4 at a step far beyond the stability limit of the stable CT loop
         (["simulate", "{ct}", "--dt", "10", "--t-end", "1e4"], 2, "diverged at step"),
@@ -398,6 +414,9 @@ class TestExitCodes:
             "overflow": self.reference_text('"A": [[1.2', '"A": [[1e400'),
             "nan": self.reference_text('"eta": 0.9', '"eta": NaN'),
             "pairs": "[[[1, 1, 1], [-1, -1, 1e400]]]",
+            "two_errors": self.reference_text(
+                '"A": [[1.2', '"A": [["a"').replace('"discrete"', '"hybrid"'),
+            "two_error_pairs": '[[[1, 1, 1], [1, "a"]], [[1, 1, 1]]]',
             "diverging": json.dumps(DIVERGING_DT),
             "ct": json.dumps(dict(SCALAR_INFEASIBLE, system=dict(
                 SCALAR_INFEASIBLE["system"], A=[[-1.0]]))),
@@ -409,6 +428,56 @@ class TestExitCodes:
         argv = [a.format(**paths) for a in argv] + ["--quiet"]
         assert main(argv) == code
         assert err in capsys.readouterr().err
+
+
+class TestSharedParser:
+    """`main` parses every command line with one parser, which must carry
+    nothing from one call to the next."""
+
+    def test_usage_error_then_valid_call(self, tmp_path):
+        path = write_problem(tmp_path, REFERENCE_PROBLEM)
+        assert main(["analyze", path, "--theorem", "bogus", "--quiet"]) == 1
+        assert main(["analyze", path, "--quiet"]) == 0
+
+    def test_theorem_falls_back_to_auto(self, tmp_path):
+        path = write_problem(tmp_path, SCALAR_INFEASIBLE)
+        out = tmp_path / "report.json"
+
+        def theorem(*flags):
+            main(["synthesize", path, *flags, "--out", str(out), "--quiet"])
+            return json.loads(out.read_text())["theorem"]
+
+        assert theorem("--theorem", "CT-Lip-conservative") == "CT-Lip-conservative"
+        assert theorem() == "CT-Lip-synthesis"
+
+    def test_seed_falls_back_to_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LURE_CONTRACT_SEED", "11")
+        path = write_problem(tmp_path, REFERENCE_PROBLEM)
+        out = tmp_path / "report.json"
+
+        def rates(*flags):
+            assert main(["simulate", path, "--steps", "5", *flags,
+                         "--out", str(out), "--quiet"]) == 0
+            return json.loads(out.read_text())["rates"]
+
+        seeded = rates("--seed", "5")
+        from_env = rates()
+        assert from_env != seeded
+        assert from_env == rates("--seed", "11")
+
+    def test_call_leaves_little_garbage(self, tmp_path):
+        # a parser built per call left about 300 objects in reference cycles
+        path = write_problem(tmp_path, REFERENCE_PROBLEM)
+        argv = ["analyze", path, "--quiet"]
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage < 100
 
 
 class TestReportDocument:
