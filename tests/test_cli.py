@@ -395,6 +395,9 @@ class TestExitCodes:
         (["analyze", "{overflow}"], 1, "at system/A/0/0: '1e400' is not"),
         (["analyze", "{nan}"], 1, "at eta: 'NaN' is not"),
         (["simulate", "{problem}", "--pairs", "{pairs}"], 1, "'1e400' is not"),
+        (["simulate", "{diverging}", "--steps", "1000"], 2, "diverged at step"),
+        # RK4 at a step far beyond the stability limit of the stable CT loop
+        (["simulate", "{ct}", "--dt", "10", "--t-end", "1e4"], 2, "diverged at step"),
         # two schema errors: the one reported is jsonschema's best match
         (["analyze", "{two_errors}"], 1,
          "schema violation at system/domain: 'hybrid' is not one of "
@@ -404,9 +407,6 @@ class TestExitCodes:
         # grids larger than any address space are refused at once
         (["simulate", "{problem}", "--steps", str(10**16)], 1, "Unable to allocate"),
         (["simulate", "{ct}", "--t-end", "1e14"], 1, "Unable to allocate"),
-        (["simulate", "{diverging}", "--steps", "1000"], 2, "diverged at step"),
-        # RK4 at a step far beyond the stability limit of the stable CT loop
-        (["simulate", "{ct}", "--dt", "10", "--t-end", "1e4"], 2, "diverged at step"),
     ])
     def test_exit_code(self, tmp_path, capsys, argv, code, err):
         files = {
