@@ -137,9 +137,9 @@ def _dt_lip_synthesis(sys, nc, eta):
     return lambda W, Z, K_psi: linalg.assemble_sym([sys.n_x, sys.n_psi, sys.n_y, sys.n_x], {
         (0, 0): -eta ** 2 * W,
         (0, 2): W @ sys.C.T,
-        (0, 3): (sys.A @ W + sys.B @ Z).T,
+        (0, 3): np.swapaxes(sys.A @ W + sys.B @ Z, -1, -2),
         (1, 1): -nc.theta_psi,
-        (1, 3): (sys.B_psi + sys.B @ K_psi).T,
+        (1, 3): np.swapaxes(sys.B_psi + sys.B @ K_psi, -1, -2),
         (2, 2): -thy_inv,
         (3, 3): -W,
     })
@@ -215,9 +215,9 @@ def _dt_sector_synthesis(sys, nc, eta):
     return lambda W, Z, K_psi: linalg.assemble_sym([sys.n_x, sys.n_psi, sys.n_x], {
         (0, 0): -eta ** 2 * W,
         (0, 1): W @ (sys.C.T @ nc.gamma.T @ nc.theta),
-        (0, 2): (sys.A @ W + sys.B @ Z).T,
+        (0, 2): np.swapaxes(sys.A @ W + sys.B @ Z, -1, -2),
         (1, 1): -2 * nc.theta,
-        (1, 2): (sys.B_psi + sys.B @ K_psi).T,
+        (1, 2): np.swapaxes(sys.B_psi + sys.B @ K_psi, -1, -2),
         (2, 2): -W,
     })
 

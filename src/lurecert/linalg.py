@@ -1,8 +1,10 @@
 """Dense real linear algebra primitives shared by the whole package.
 
-All operations work on plain numpy arrays.  Symmetric inputs are
-symmetrized on entry ((M + M^T)/2) so that roundoff drift never leaks into
-eigenvalue computations, and every entry is required to be finite.
+All operations work on plain numpy arrays; ``brack`` and ``assemble_sym``
+also act on stacks of matrices over the last two axes.  Symmetric inputs
+are symmetrized on entry ((M + M^T)/2) so that roundoff drift never leaks
+into eigenvalue computations, and every entry of a matrix that is
+decomposed or inverted is required to be finite.
 Matrices here are small (a few hundred rows at most), so O(n^3) dense
 algorithms are used throughout.
 """
@@ -59,58 +61,35 @@ def as_sym(a, name: str = "matrix") -> np.ndarray:
 
 
 def brack(m) -> np.ndarray:
-    """Return M + M^T for square M."""
-    m = as_matrix(m, "brack input")
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"brack requires a square matrix, got {m.shape}")
-    return m + m.T
-
-
-def assemble(row_sizes, col_sizes, blocks) -> np.ndarray:
-    """Place a grid of blocks into one dense matrix.
-
-    ``blocks[i][j]`` is a matrix of shape (row_sizes[i], col_sizes[j]) or
-    None for an all-zero block.
-    """
-    row_sizes = [int(r) for r in row_sizes]
-    col_sizes = [int(c) for c in col_sizes]
-    if len(blocks) != len(row_sizes):
-        raise DimensionError("block grid has wrong number of rows")
-    out = np.zeros((sum(row_sizes), sum(col_sizes)))
-    roff = np.concatenate([[0], np.cumsum(row_sizes)])
-    coff = np.concatenate([[0], np.cumsum(col_sizes)])
-    for i, row in enumerate(blocks):
-        if len(row) != len(col_sizes):
-            raise DimensionError(f"block row {i} has wrong number of columns")
-        for j, blk in enumerate(row):
-            if blk is None:
-                continue
-            b = as_matrix(blk, f"block ({i},{j})")
-            if b.shape != (row_sizes[i], col_sizes[j]):
-                raise DimensionError(
-                    f"block ({i},{j}) has shape {b.shape}, "
-                    f"expected {(row_sizes[i], col_sizes[j])}"
-                )
-            out[roff[i]:roff[i + 1], coff[j]:coff[j + 1]] = b
-    return out
+    """Return M + M^T for square M, over the last two axes of a stack."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"brack requires square matrices, got {m.shape}")
+    return m + np.swapaxes(m, -1, -2)
 
 
 def assemble_sym(sizes, upper_blocks) -> np.ndarray:
     """Assemble a symmetric block matrix from its upper triangle.
 
-    ``upper_blocks`` maps (i, j) with i <= j to a block; the lower triangle
-    is filled by transposition and the result is symmetrized.
+    ``upper_blocks`` maps (i, j) with i <= j to a block of shape
+    (..., sizes[i], sizes[j]); missing blocks are zero.  Leading axes
+    broadcast, so stacked blocks give a stack of matrices.  The lower
+    triangle is filled by transposition and the result is symmetrized.
     """
-    n = len(sizes)
-    grid = [[None] * n for _ in range(n)]
-    for (i, j), blk in upper_blocks.items():
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    lead = np.broadcast_shapes(*(np.shape(b)[:-2] for b in upper_blocks.values()))
+    out = np.zeros(lead + (offsets[-1], offsets[-1]))
+    for (i, j), b in upper_blocks.items():
         if i > j:
             raise DimensionError("assemble_sym expects upper-triangle keys")
-        grid[i][j] = np.asarray(blk, dtype=float)
+        if np.shape(b)[-2:] != (sizes[i], sizes[j]):
+            raise DimensionError(f"block ({i},{j}) has shape {np.shape(b)}, "
+                                 f"expected (..., {sizes[i]}, {sizes[j]})")
+        rows, cols = slice(offsets[i], offsets[i + 1]), slice(offsets[j], offsets[j + 1])
+        out[..., rows, cols] = b
         if i != j:
-            grid[j][i] = grid[i][j].T
-    m = assemble(sizes, sizes, grid)
-    return 0.5 * (m + m.T)
+            out[..., cols, rows] = np.swapaxes(b, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def eig_sym(m) -> tuple[np.ndarray, np.ndarray]:

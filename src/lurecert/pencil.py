@@ -79,24 +79,25 @@ class VariableLayout:
         return x
 
     def unpack(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        """Expand a coordinate vector into a {group: matrix} assignment."""
-        x = np.asarray(x, dtype=float).ravel()
-        if x.shape[0] != self.size:
+        """Expand a coordinate vector, or a (..., size) stack of them, into
+        a {group: matrix} assignment stacked over the same leading axes."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.size,):
             raise linalg.DimensionError(
-                f"coordinate vector has length {x.shape[0]}, expected {self.size}"
+                f"coordinate vectors have shape {x.shape}, expected (..., {self.size})"
             )
+        lead = x.shape[:-1]
         out = {}
         for name, g in self.groups.items():
-            coords = x[g.offset:g.offset + g.size]
+            coords = x[..., g.offset:g.offset + g.size]
             if g.kind == SYM:
-                n = g.shape[0]
-                m = np.zeros((n, n))
-                iu = np.triu_indices(n)
-                m[iu] = coords
-                m = m + np.triu(m, 1).T
+                i, j = np.triu_indices(g.shape[0])
+                m = np.zeros(lead + g.shape)
+                m[..., i, j] = coords
+                m[..., j, i] = coords
                 out[name] = m
             else:
-                out[name] = coords.reshape(g.shape)
+                out[name] = coords.reshape(lead + g.shape)
         return out
 
     def group_slice(self, name: str) -> slice:
@@ -154,16 +155,16 @@ def pencil_from_function(
     """Build a pencil by probing an affine matrix-valued function.
 
     ``block_fn`` maps a {group: matrix} assignment to a symmetric matrix and
-    must be affine in the assignment; the basis is recovered by evaluating
-    at the origin and at each unit coordinate.
+    must be affine in the assignment.  It must also broadcast over leading
+    axes: it is called once, on the stack of the zero assignment and every
+    unit coordinate, and returns the stack of their matrices.
     """
-    zero = layout.unpack(np.zeros(layout.size))
-    f0 = np.asarray(block_fn(zero), dtype=float)
-    f0 = 0.5 * (f0 + f0.T)
-    basis = np.empty((layout.size, f0.shape[0], f0.shape[0]))
-    for i in range(layout.size):
-        e = np.zeros(layout.size)
-        e[i] = 1.0
-        fi = np.asarray(block_fn(layout.unpack(e)), dtype=float) - f0
-        basis[i] = 0.5 * (fi + fi.T)
-    return AffinePencil(layout=layout, F0=f0, basis=basis)
+    n = layout.size
+    f = np.asarray(block_fn(layout.unpack(np.vstack([np.zeros(n), np.eye(n)]))),
+                   dtype=float)
+    if f.ndim != 3 or f.shape[0] != n + 1:
+        raise linalg.DimensionError(
+            f"block function returned shape {f.shape} for {n + 1} stacked "
+            "assignments; it must broadcast over leading axes"
+        )
+    return AffinePencil(layout=layout, F0=f[0], basis=f[1:] - f[0])

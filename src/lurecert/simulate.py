@@ -89,6 +89,9 @@ def simulate_ct(cl: ClosedLoop, psi: NonlinearFn, x0, t_end: float,
     if x.shape != (cl.n_x,):
         raise linalg.DimensionError(f"x0 has shape {x.shape}, expected ({cl.n_x},)")
     n_steps = int(round(t_end / dt))
+    if n_steps < 1:
+        raise ValueError(f"t_end = {t_end} is less than half of dt = {dt}: "
+                         "the grid has no steps")
     evals = 0
 
     def f(state):
@@ -214,7 +217,8 @@ def certify_empirically(sys: LureSystem, gains: Gains, psis: Iterable[NonlinearF
     Fails iff any sampled pair's maximum per-step ratio exceeds eta
     (discrete) or exp(-eta dt) (continuous) beyond relative tolerance.
     Callers are expected to have validated the nonlinearities against their
-    declared class beforehand.
+    declared class beforehand.  Raises ValueError when nothing is simulated:
+    no psi, or every initial pair coincides.
     """
     cl = close_loop(sys, gains)
     p = linalg.as_sym(p, "P")
@@ -230,6 +234,9 @@ def certify_empirically(sys: LureSystem, gains: Gains, psis: Iterable[NonlinearF
     for psi, _, _, _, rep in sweep_pairs(cl, psis, pairs, p, eta, steps, t_end, dt):
         worst = max(worst, rep.max_ratio)
         details.append((psi.name, rep.max_ratio))
+    if not details:
+        raise ValueError("nothing was simulated: no nonlinearity was given "
+                         "or every initial pair coincides")
     passed = worst <= threshold * (1.0 + tol)
     return CertifyReport(passed=passed, worst_ratio=float(worst),
                          threshold=threshold, details=details)

@@ -151,9 +151,8 @@ class _BarrierModel:
         self.box = prob.box
 
         # LMI blocks: (constant, coefficient stack over z).
-        f0 = prob.pencil.F0
-        m = f0.shape[0]
-        blocks = [(0.5 * (f0 + f0.T),
+        m = prob.pencil.dim
+        blocks = [(prob.pencil.F0,
                    np.concatenate([prob.pencil.basis, np.eye(m)[None]]))]
 
         # positivity: eps I - G(x) <= 0.  Each group starts at v I with v

@@ -36,7 +36,7 @@ from lurecert.nonlin import (
     check_monotone,
     check_sector_differential,
 )
-from lurecert.pencil import VariableLayout, pencil_from_function
+from lurecert.pencil import AffinePencil, VariableLayout
 from lurecert.psilib import linear_psi, paper_psi, scaled_tanh_psi
 from lurecert.simulate import certify_empirically, rate_estimate, simulate_dt
 from lurecert.solver import (
@@ -446,15 +446,7 @@ class TestCriterion10SolverFuzz:
         dim = int(rng.integers(1, 5))
         f0 = random_sym(rng, dim, scale=float(rng.uniform(0.1, 3.0)))
         coeffs = [random_sym(rng, dim) for _ in range(layout.size)]
-
-        def blocks(v, layout=layout, f0=f0, coeffs=coeffs):
-            x = layout.pack(v)
-            out = f0.copy()
-            for c, m in zip(x, coeffs):
-                out = out + c * m
-            return out
-
-        pencil = pencil_from_function(layout, blocks)
+        pencil = AffinePencil(layout=layout, F0=f0, basis=np.array(coeffs))
         positivity = ()
         if two_var and rng.random() < 0.4:
             positivity = (("P", None),)

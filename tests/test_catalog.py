@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lurecert import linalg
+from lurecert import catalog, linalg
 from lurecert.catalog import (
     ALL_TAGS,
     CT_LIP_ANALYSIS,
@@ -41,6 +41,7 @@ from lurecert.model import (
     SectorBounded,
     close_loop,
 )
+from lurecert.pencil import AffinePencil
 
 from helpers import (
     analysis_point,
@@ -219,6 +220,50 @@ class TestBlockForms:
         awbz = sys.A @ w + sys.B @ z
         expected = awbz + awbz.T + 2 * (eta + nc.rho) * w
         assert np.allclose(f, expected, atol=1e-12)
+
+
+def reference_probe(layout, block_fn):
+    """The per-coordinate probe: one call at the zero assignment and one at
+    each unit coordinate, every call on plain matrices."""
+    f0 = np.asarray(block_fn(layout.unpack(np.zeros(layout.size))))
+    basis = np.array([block_fn(layout.unpack(e)) - f0 for e in np.eye(layout.size)])
+    return AffinePencil(layout=layout, F0=f0, basis=basis)
+
+
+class TestReferenceProbe:
+    """The stacked probe must give bit for bit the pencil that probing one
+    coordinate at a time gives, on every tag."""
+
+    @staticmethod
+    def instance(rng, tag, n_x):
+        domain = CONTINUOUS if tag.startswith("CT") else DISCRETE
+        eta = 0.4 if domain == CONTINUOUS else 0.8
+        if tag == CT_LIP_CONSERVATIVE:
+            sys = LureSystem(A=rng.normal(size=(n_x, n_x)), B=rng.normal(size=(n_x, 2)),
+                             B_psi=np.eye(n_x), C=np.eye(n_x), domain=domain)
+            return LmiSpec(tag, sys, Lipschitz(0.5, np.eye(n_x), np.eye(n_x)), eta)
+        n_y = min(n_x, 2)
+        sys = random_lure(rng, n_x, 2, 2, n_y, domain)
+        if "-Lip-" in tag:
+            nc = random_lip(rng, n_y, 2)
+        elif n_y == 2 and rng.random() < 0.5:
+            nc = Monotone(gamma=random_spd(rng, 2))
+        else:
+            nc = random_sector(rng, n_y, 2)
+        return LmiSpec(tag, sys, nc, eta)
+
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_bit_identical_to_per_coordinate_probe(self, tag, monkeypatch):
+        rng = np.random.default_rng(sum(map(ord, tag)))
+        for n_x in (1, 2, 5, 8):
+            spec = self.instance(rng, tag, n_x)
+            gains = random_gains(rng, spec.system) if spec.is_analysis else None
+            pencil = spec.build(gains)
+            with monkeypatch.context() as m:
+                m.setattr(catalog, "pencil_from_function", reference_probe)
+                expected = spec.build(gains)
+            assert np.array_equal(pencil.F0, expected.F0)
+            assert np.array_equal(pencil.basis, expected.basis)
 
 
 class TestScalarHandCases:

@@ -407,6 +407,8 @@ class TestExitCodes:
         # grids larger than any address space are refused at once
         (["simulate", "{problem}", "--steps", str(10**16)], 1, "Unable to allocate"),
         (["simulate", "{ct}", "--t-end", "1e14"], 1, "Unable to allocate"),
+        # a CT grid shorter than half a step has no steps
+        (["simulate", "{ct}", "--t-end", "1e-4"], 1, "t_end = 0.0001 is less than half of dt"),
     ])
     def test_exit_code(self, tmp_path, capsys, argv, code, err):
         files = {

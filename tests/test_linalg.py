@@ -43,23 +43,46 @@ class TestCoercion:
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(linalg.brack(m), m + m.T)
 
+    def test_brack_acts_on_the_last_two_axes(self):
+        m = np.arange(12.0).reshape(3, 2, 2)
+        out = linalg.brack(m)
+        for k in range(3):
+            assert np.array_equal(out[k], m[k] + m[k].T)
+
+    def test_brack_rejects_non_square(self):
+        with pytest.raises(linalg.DimensionError):
+            linalg.brack(np.zeros((3, 2, 1)))
+
 
 class TestAssembly:
     def test_assemble_places_blocks(self):
-        out = linalg.assemble(
-            [2, 1], [2, 1],
-            [[np.eye(2), np.ones((2, 1))], [None, np.array([[5.0]])]],
-        )
+        # the off-diagonal block is mirrored below the diagonal
+        out = linalg.assemble_sym(
+            [2, 1], {(0, 0): np.eye(2), (0, 1): np.ones((2, 1)), (1, 1): np.array([[5.0]])})
         expected = np.array([
             [1.0, 0.0, 1.0],
             [0.0, 1.0, 1.0],
-            [0.0, 0.0, 5.0],
+            [1.0, 1.0, 5.0],
         ])
         assert np.array_equal(out, expected)
 
     def test_assemble_rejects_wrong_block_shape(self):
         with pytest.raises(linalg.DimensionError):
-            linalg.assemble([2], [2], [[np.zeros((2, 3))]])
+            linalg.assemble_sym([2], {(0, 0): np.zeros((2, 3))})
+        with pytest.raises(linalg.DimensionError):
+            linalg.assemble_sym([2, 1], {(0, 1): np.zeros((3, 2, 2))})
+
+    def test_assemble_sym_broadcasts_leading_axes(self):
+        # a stacked block and a constant block give a stack of matrices,
+        # each equal to the assembly of its own slice
+        stack = np.arange(8.0).reshape(2, 2, 2)
+        const = np.array([[2.0], [3.0]])
+        out = linalg.assemble_sym([2, 1], {(0, 0): stack, (0, 1): const})
+        assert out.shape == (2, 3, 3)
+        for k in range(2):
+            assert np.array_equal(
+                out[k], linalg.assemble_sym([2, 1], {(0, 0): stack[k], (0, 1): const}))
+            assert np.array_equal(out[k], out[k].T)
 
     def test_assemble_sym_mirrors_off_diagonal(self):
         out = linalg.assemble_sym(

@@ -40,6 +40,23 @@ class TestVariableLayout:
         x = np.random.default_rng(seed).normal(size=layout.size)
         assert np.allclose(layout.pack(layout.unpack(x)), x)
 
+    def test_unpack_stack(self):
+        # a (..., size) stack unpacks to matrices stacked over the same axes
+        layout = demo_layout()
+        xs = np.random.default_rng(2).normal(size=(4, 3, layout.size))
+        out = layout.unpack(xs)
+        assert out["P"].shape == (4, 3, 3, 3) and out["Z"].shape == (4, 3, 1, 3)
+        for idx in np.ndindex(4, 3):
+            one = layout.unpack(xs[idx])
+            assert np.array_equal(out["P"][idx], one["P"])
+            assert np.array_equal(out["Z"][idx], one["Z"])
+
+    def test_unpack_reads_the_last_axis(self):
+        # 9 numbers in a 3 x 3 array are three vectors of the wrong length,
+        # not one coordinate vector
+        with pytest.raises(linalg.DimensionError):
+            demo_layout().unpack(np.zeros((3, 3)))
+
     def test_pack_symmetrizes(self):
         layout = VariableLayout([VariableLayout.sym("P", 2)])
         x = layout.pack({"P": np.array([[1.0, 4.0], [0.0, 2.0]])})
@@ -93,6 +110,23 @@ class TestAffinePencil:
         rhs = (alpha * pencil.evaluate_coords(x1)
                + (1 - alpha) * pencil.evaluate_coords(x2))
         assert np.allclose(lhs, rhs, atol=1e-10)
+
+    def test_block_function_called_once(self):
+        calls = []
+
+        def blocks(v):
+            calls.append(v["P"].shape)
+            return linalg.brack(v["P"])
+
+        pencil = pencil_from_function(VariableLayout([VariableLayout.sym("P", 2)]), blocks)
+        assert calls == [(4, 2, 2)]
+        assert np.array_equal(pencil.F0, np.zeros((2, 2)))
+        assert np.array_equal(pencil.basis[1], [[0.0, 2.0], [2.0, 0.0]])
+
+    def test_rejects_block_function_that_does_not_broadcast(self):
+        layout = VariableLayout([VariableLayout.sym("P", 1), VariableLayout.sym("Q", 1)])
+        with pytest.raises(linalg.DimensionError):
+            pencil_from_function(layout, lambda v: v["P"][0] + v["Q"][0])
 
     def test_rejects_asymmetric_basis(self):
         layout = VariableLayout([("Z", "mat", (1, 2))])

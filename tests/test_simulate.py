@@ -107,6 +107,14 @@ class TestSimulateCt:
         with pytest.raises(ValueError):
             simulate_ct(cl, zero_psi(1, 1), np.zeros(1), t_end=0.0, dt=1e-2)
 
+    def test_grid_without_steps_rejected(self):
+        # t_end below dt / 2 rounds to zero steps
+        cl = linear_loop(np.eye(1), CONTINUOUS)
+        with pytest.raises(ValueError, match=r"t_end = 0\.0001 .* dt = 0\.001"):
+            simulate_ct(cl, zero_psi(1, 1), np.zeros(1), t_end=1e-4, dt=1e-3)
+        traj = simulate_ct(cl, zero_psi(1, 1), np.zeros(1), t_end=6e-4, dt=1e-3)
+        assert len(traj.times) == 2
+
 
 class TestWeightedDistance:
     def test_reduces_to_euclidean_for_identity(self):
@@ -221,6 +229,16 @@ class TestCertifyEmpirically:
         rep = certify_empirically(sys, gains, psis, p, eta=0.9, initial_pairs=pairs)
         assert rep.passed
         assert [name for name, _ in rep.details] == ["paper1", "paper2", "paper3"]
+
+    @pytest.mark.parametrize("psis, pairs", [
+        ([], [(np.ones(3), -np.ones(3))]),
+        ([paper_psi(1)], [(np.ones(3), np.ones(3)), (-np.ones(3), -np.ones(3))]),
+    ], ids=["no-psi", "coincident-pairs"])
+    def test_nothing_simulated_raises(self, psis, pairs):
+        # with nothing simulated there is no evidence, even for a rate of 0.01
+        sys, gains, p = self.reference()
+        with pytest.raises(ValueError, match="nothing was simulated"):
+            certify_empirically(sys, gains, psis, p, eta=0.01, initial_pairs=pairs)
 
     def test_fails_for_overly_optimistic_rate(self):
         sys, gains, p = self.reference()

@@ -128,8 +128,7 @@ class TestStructure:
 
     def test_positivity_requires_sym_group(self):
         layout = VariableLayout([("Z", "mat", (1, 2))])
-        pencil = pencil_from_function(
-            layout, lambda v: -np.eye(2) + v["Z"].T @ v["Z"] * 0.0)
+        pencil = AffinePencil(layout=layout, F0=-np.eye(2), basis=np.zeros((2, 2, 2)))
         with pytest.raises(StructuralError):
             FeasibilityProblem(pencil, positivity=(("Z", None),))
 
@@ -162,15 +161,7 @@ class TestGridOracleAgreement:
         f0 = random_sym(rng, dim)
         g1 = random_sym(rng, dim)
         g2 = random_sym(rng, dim)
-
-        def blocks(v):
-            if kind == 0:
-                a, b = v["P"][0, 0], v["Q"][0, 0]
-            else:
-                a, b = v["Z"][0, 0], v["Z"][0, 1]
-            return f0 + a * g1 + b * g2
-
-        pencil = pencil_from_function(layout, blocks)
+        pencil = AffinePencil(layout=layout, F0=f0, basis=np.array([g1, g2]))
         positivity = ()
         if kind == 0 and rng.random() < 0.5:
             positivity = (("P", None),)
@@ -204,15 +195,7 @@ class TestFuzzNoFalseFeasible:
             layout = VariableLayout([VariableLayout.sym("X", n)])
             f0 = random_sym(rng, dim, scale=float(rng.uniform(0.1, 3.0)))
             coeffs = [random_sym(rng, dim) for _ in range(n * (n + 1) // 2)]
-
-            def blocks(v, f0=f0, coeffs=coeffs, layout=layout):
-                x = layout.pack(v)
-                out = f0.copy()
-                for c, m in zip(x, coeffs):
-                    out = out + c * m
-                return out
-
-            pencil = pencil_from_function(layout, blocks)
+            pencil = AffinePencil(layout=layout, F0=f0, basis=np.array(coeffs))
             positivity = (("X", None),) if rng.random() < 0.5 else ()
             prob = FeasibilityProblem(pencil, positivity=positivity, box=10.0)
             res = solve(prob, SolveOptions(max_iter=200))
@@ -229,11 +212,7 @@ def random_barrier_problem(rng, box):
     dim = int(rng.integers(2, 5))
     f0 = random_sym(rng, dim)
     coeffs = [random_sym(rng, dim) for _ in range(layout.size)]
-
-    def blocks(v):
-        return f0 + sum(c * m for c, m in zip(layout.pack(v), coeffs))
-
-    return FeasibilityProblem(pencil_from_function(layout, blocks),
+    return FeasibilityProblem(AffinePencil(layout=layout, F0=f0, basis=np.array(coeffs)),
                               positivity=(("X", None),), box=box)
 
 
