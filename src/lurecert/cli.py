@@ -184,7 +184,7 @@ def cmd_simulate(args) -> int:
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
     max_ratio = -np.inf
     max_energy = -np.inf
-    sweep = sweep_pairs(cl, psis, pairs, p, problem.eta, **grid)
+    sweep = sweep_pairs(cl, psis, pairs, p, **grid)
     for n, (psi, qi, t1, t2, rep) in enumerate(sweep):
         max_ratio = max(max_ratio, rep.max_ratio)
         max_energy = max(max_energy, rep.max_energy_ratio)

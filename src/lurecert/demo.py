@@ -107,7 +107,7 @@ def run_demo(out_dir=None, data: DemoData = None) -> DemoSummary:
     max_energy = -np.inf
     max_ratio = -np.inf
     trajectories = []
-    sweep = sweep_pairs(cl, psis, [(x0a, x0b)], p, data.eta, steps=data.steps)
+    sweep = sweep_pairs(cl, psis, [(x0a, x0b)], p, steps=data.steps)
     for psi, _, t1, t2, rep in sweep:
         per_psi[psi.name] = rep.max_energy_ratio
         max_energy = max(max_energy, rep.max_energy_ratio)

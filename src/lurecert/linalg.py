@@ -1,10 +1,10 @@
 """Dense real linear algebra primitives shared by the whole package.
 
-All operations work on plain numpy arrays; ``brack`` and ``assemble_sym``
-also act on stacks of matrices over the last two axes.  Symmetric inputs
-are symmetrized on entry ((M + M^T)/2) so that roundoff drift never leaks
-into eigenvalue computations, and every entry of a matrix that is
-decomposed or inverted is required to be finite.
+All operations work on plain numpy arrays; ``brack``, ``assemble_sym``,
+``eig_sym`` and ``eigvals_sym`` also act on stacks of matrices over the
+last two axes.  Symmetric inputs are symmetrized on entry ((M + M^T)/2) so
+that roundoff drift never leaks into eigenvalue computations, and every
+entry of a matrix that is decomposed or inverted is required to be finite.
 Matrices here are small (a few hundred rows at most), so O(n^3) dense
 algorithms are used throughout.
 """
@@ -51,13 +51,20 @@ def as_sym(a, name: str = "matrix") -> np.ndarray:
     Raises DimensionError for non-square input and NumericError if the
     asymmetry is too large to be roundoff (relative 1e-8).
     """
-    m = as_matrix(a, name)
-    if m.shape[0] != m.shape[1]:
+    return _symmetrized(as_matrix(a, name), name)
+
+
+def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
+    """The as_sym checks on each matrix of a (..., k, k) stack."""
+    if m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > 1e-8 * scale:
+    mt = m.swapaxes(-1, -2)
+    scale = np.abs(m).max(axis=(-2, -1))
+    asym = np.abs(m - mt).max(axis=(-2, -1))
+    # asym > 1e-8 * max(1, scale), without a ufunc call on the 2-D path
+    if ((asym > 1e-8) & (asym > 1e-8 * scale)).any():
         raise NumericError(f"{name} is not symmetric within tolerance")
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + mt)
 
 
 def brack(m) -> np.ndarray:
@@ -93,24 +100,33 @@ def assemble_sym(sizes, upper_blocks) -> np.ndarray:
 
 
 def eig_sym(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of symmetric M.
+    """Eigenvalues (ascending) and orthonormal eigenvectors of symmetric M,
+    or of each matrix of a (..., k, k) stack.
 
-    The reconstruction residual is audited against TOL_EIG.
+    Each matrix must be finite and symmetric within tolerance, and its
+    reconstruction residual is audited against TOL_EIG.
     """
-    s = as_sym(m, "eig_sym input")
+    m = np.asarray(m, dtype=float)
+    if m.ndim > 2 and not np.isfinite(m).all():
+        raise NumericError("eig_sym input contains non-finite entries")
+    s = as_sym(m, "eig_sym input") if m.ndim <= 2 else _symmetrized(m, "eig_sym input")
     w, v = np.linalg.eigh(s)
-    scale = max(1.0, float(np.abs(s).max()))
-    resid = np.abs(s @ v - v * w).max()
-    orth = np.abs(v.T @ v - np.eye(s.shape[0])).max()
-    if resid > TOL_EIG * scale * s.shape[0] or orth > TOL_EIG * s.shape[0]:
+    n = s.shape[-1]
+    scale = np.abs(s).max(axis=(-2, -1))
+    resid = np.abs(s @ v - v * w[..., None, :]).max(axis=(-2, -1))
+    orth = np.abs(v.swapaxes(-1, -2) @ v - np.eye(n)).max(axis=(-2, -1))
+    tol = TOL_EIG * n
+    bad = (resid > tol) & (resid > tol * scale) | (orth > tol)
+    if bad.any():
+        i = np.argmax(bad)
         raise NumericError(
-            f"eigendecomposition residual too large: {resid:.3e} / {orth:.3e}"
+            f"eigendecomposition residual too large: {resid.flat[i]:.3e} / {orth.flat[i]:.3e}"
         )
     return w, v
 
 
 def eigvals_sym(m) -> np.ndarray:
-    """Eigenvalues of symmetric M in ascending order."""
+    """Eigenvalues of symmetric M (or of each matrix of a stack) in ascending order."""
     return eig_sym(m)[0]
 
 

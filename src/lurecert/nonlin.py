@@ -2,8 +2,11 @@
 
 These checkers are falsifiers, not provers: a "no-violation-found" verdict
 means the declared class inequality survived every sampled point or pair.
-Every "violated" verdict carries a witness that re-evaluates to a genuine
-violation, so sampling artifacts are never reported as findings.
+Each checker writes its normalized margin once, over the whole stack of
+samples; psi is still evaluated one (n_y,) vector at a time.  Every
+"violated" verdict carries a witness that re-evaluates to a genuine
+violation, so sampling artifacts are never reported as findings, and a
+margin that cannot be evaluated (psi not finite) is an error, never a pass.
 """
 
 from __future__ import annotations
@@ -81,136 +84,127 @@ def jacobian_fd(psi: NonlinearFn, y, step: float = None) -> np.ndarray:
     return j
 
 
-def _jac(psi: NonlinearFn, y) -> np.ndarray:
-    j = psi.jac(y)
-    return j if j is not None else jacobian_fd(psi, y)
+def _rows(f, ys: np.ndarray) -> np.ndarray:
+    """f applied to each row of ``ys``, stacked: psi and its Jacobian take
+    one (n_y,) vector at a time."""
+    return np.array([f(y) for y in ys])
 
 
-def _finish(margins: np.ndarray, witnesses, recheck, tol: float = MARGIN_TOL) -> CheckReport:
-    """Pick the worst sample; confirm a violation above ``tol`` by re-evaluation."""
-    worst = int(np.argmax(margins))
-    worst_margin = float(margins[worst])
-    if worst_margin > tol:
-        witness = witnesses(worst)
-        if recheck(witness) > tol:
-            return CheckReport(VIOLATED, worst_margin, witness, len(margins))
+def _jacobians(psi: NonlinearFn, ys: np.ndarray) -> np.ndarray:
+    """Jacobians at the rows of ``ys``: analytic when psi has one, else
+    central differences."""
+    return _rows(psi.jac if psi.jacobian is not None else lambda y: jacobian_fd(psi, y), ys)
+
+
+def _lmax(m: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each matrix of a stack; NaN for a matrix with a
+    non-finite entry, which ``_check`` then reports."""
+    out = np.full(m.shape[:-2], np.nan)
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    out[finite] = linalg.eigvals_sym(m[finite])[..., -1]
+    return out
+
+
+def _require_dims(psi: NonlinearFn, n_y: int, n_psi: int):
+    if (psi.n_y, psi.n_psi) != (n_y, n_psi):
+        raise linalg.DimensionError(
+            f"nonlinearity maps R^{psi.n_y} -> R^{psi.n_psi}, "
+            f"the class needs R^{n_y} -> R^{n_psi}")
+
+
+def _check(margin, samples: tuple) -> CheckReport:
+    """Evaluate ``margin`` over the stacked ``samples`` (one array per
+    argument, one row per sample) and pick the worst sample.
+
+    A violation above MARGIN_TOL is confirmed by evaluating ``margin`` again
+    on the witness's one-row stack.  A margin that is NaN or +inf (psi or
+    its Jacobian not finite there) raises ValueError; -inf marks a
+    coincident pair and is legal.
+    """
+    with np.errstate(all="ignore"):  # non-finite margins are reported below
+        margins = margin(*samples)
+        bad = np.isnan(margins) | (margins == np.inf)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"margin is {margins[i]} at sample {i} "
+                             f"{tuple(s[i].tolist() for s in samples)}: psi or "
+                             "its Jacobian is not finite there, or the margin overflows")
+        worst = int(np.argmax(margins))
+        worst_margin = float(margins[worst])
+        if worst_margin > MARGIN_TOL:
+            if margin(*(s[worst:worst + 1] for s in samples))[0] > MARGIN_TOL:
+                return CheckReport(VIOLATED, worst_margin,
+                                   tuple(s[worst] for s in samples), len(margins))
     return CheckReport(NO_VIOLATION, worst_margin, None, len(margins))
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise u . v over stacks of vectors, summed as the dot product of
+    two vectors is (an elementwise sum can round differently)."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def check_lipschitz_incremental(psi: NonlinearFn, nc: Lipschitz,
                                 sch: SampleScheme) -> CheckReport:
     """Sample pairs and test dPsi^T Theta_psi dPsi <= rho^2 dy^T Theta_y dy."""
-    if psi.n_y != nc.n_y or psi.n_psi != nc.n_psi:
-        raise linalg.DimensionError("nonlinearity dims do not match class dims")
-    ya, yb = sch.pairs(psi.n_y)
+    _require_dims(psi, nc.n_y, nc.n_psi)
     scale = nc.rho ** 2 * float(linalg.eigvals_sym(nc.theta_y)[-1])
 
     def margin(y1, y2):
         dy = y1 - y2
-        nrm = float(dy @ dy)
-        if nrm == 0.0:
-            return -np.inf
-        dp = psi(y1) - psi(y2)
-        lhs = float(dp @ nc.theta_psi @ dp)
-        rhs = nc.rho ** 2 * float(dy @ nc.theta_y @ dy)
-        return (lhs - rhs) / (scale * nrm)
+        dp = _rows(psi, y1) - _rows(psi, y2)
+        nrm = _dot(dy, dy)
+        lhs = _dot(dp @ nc.theta_psi, dp)
+        rhs = nc.rho ** 2 * _dot(dy @ nc.theta_y, dy)
+        return np.where(nrm == 0.0, -np.inf, (lhs - rhs) / (scale * nrm))
 
-    margins = np.array([margin(ya[i], yb[i]) for i in range(sch.count)])
-    return _finish(margins, lambda i: (ya[i], yb[i]),
-                   lambda w: margin(w[0], w[1]))
-
-
-def check_lipschitz_differential(psi: NonlinearFn, nc: Lipschitz,
-                                 sch: SampleScheme) -> CheckReport:
-    """Sample points and test J^T Theta_psi J <= rho^2 Theta_y."""
-    if psi.n_y != nc.n_y or psi.n_psi != nc.n_psi:
-        raise linalg.DimensionError("nonlinearity dims do not match class dims")
-    ys = sch.points(psi.n_y)
-    scale = nc.rho ** 2 * float(linalg.eigvals_sym(nc.theta_y)[-1])
-
-    def margin(y):
-        j = _jac(psi, y)
-        m = j.T @ nc.theta_psi @ j - nc.rho ** 2 * nc.theta_y
-        return float(linalg.eigvals_sym(m)[-1]) / scale
-
-    margins = np.array([margin(ys[i]) for i in range(sch.count)])
-    return _finish(margins, lambda i: (ys[i],), lambda w: margin(w[0]))
+    return _check(margin, sch.pairs(psi.n_y))
 
 
 def check_sector_incremental(psi: NonlinearFn, nc: SectorBounded,
                              sch: SampleScheme) -> CheckReport:
     """Sample pairs and test dPsi^T Theta (dPsi - Gamma dy) <= 0."""
-    if psi.n_y != nc.n_y or psi.n_psi != nc.n_psi:
-        raise linalg.DimensionError("nonlinearity dims do not match class dims")
-    ya, yb = sch.pairs(psi.n_y)
+    _require_dims(psi, nc.n_y, nc.n_psi)
     theta_scale = float(linalg.eigvals_sym(nc.theta)[-1])
     gamma_scale = max(1.0, float(np.linalg.norm(nc.gamma, 2)))
 
     def margin(y1, y2):
         dy = y1 - y2
-        dp = psi(y1) - psi(y2)
-        nrm = float(dp @ dp) + gamma_scale ** 2 * float(dy @ dy)
-        if nrm == 0.0:
-            return -np.inf
-        q = float(dp @ nc.theta @ (dp - nc.gamma @ dy))
-        return q / (theta_scale * nrm)
+        dp = _rows(psi, y1) - _rows(psi, y2)
+        nrm = _dot(dp, dp) + gamma_scale ** 2 * _dot(dy, dy)
+        q = _dot(dp @ nc.theta, dp - dy @ nc.gamma.T)
+        return np.where(nrm == 0.0, -np.inf, q / (theta_scale * nrm))
 
-    margins = np.array([margin(ya[i], yb[i]) for i in range(sch.count)])
-    return _finish(margins, lambda i: (ya[i], yb[i]),
-                   lambda w: margin(w[0], w[1]))
+    return _check(margin, sch.pairs(psi.n_y))
 
 
 def check_sector_differential(psi: NonlinearFn, nc: SectorBounded,
                               sch: SampleScheme) -> CheckReport:
     """Sample points and test <J^T Theta (J - Gamma)> <= 0."""
-    if psi.n_y != nc.n_y or psi.n_psi != nc.n_psi:
-        raise linalg.DimensionError("nonlinearity dims do not match class dims")
-    ys = sch.points(psi.n_y)
+    _require_dims(psi, nc.n_y, nc.n_psi)
     theta_scale = float(linalg.eigvals_sym(nc.theta)[-1])
     gamma_scale = max(1.0, float(np.linalg.norm(nc.gamma, 2)))
 
-    def margin(y):
-        j = _jac(psi, y)
-        m = linalg.brack(j.T @ nc.theta @ (j - nc.gamma))
-        return float(linalg.eigvals_sym(m)[-1]) / (theta_scale * gamma_scale ** 2)
+    def margin(ys):
+        j = _jacobians(psi, ys)
+        m = linalg.brack(np.swapaxes(j, -1, -2) @ nc.theta @ (j - nc.gamma))
+        return _lmax(m) / (theta_scale * gamma_scale ** 2)
 
-    margins = np.array([margin(ys[i]) for i in range(sch.count)])
-    return _finish(margins, lambda i: (ys[i],), lambda w: margin(w[0]))
+    return _check(margin, (sch.points(psi.n_y),))
 
 
 def check_monotone(psi: NonlinearFn, gamma, sch: SampleScheme) -> CheckReport:
     """Sample points and test 0 <= sym(J) <= Gamma."""
     gamma = linalg.as_sym(gamma, "gamma")
-    if psi.n_y != psi.n_psi or psi.n_y != gamma.shape[0]:
-        raise linalg.DimensionError("monotonicity check requires n_y = n_psi = dim(Gamma)")
-    ys = sch.points(psi.n_y)
+    _require_dims(psi, gamma.shape[0], gamma.shape[0])
     scale = max(1.0, float(linalg.eigvals_sym(gamma)[-1]))
 
-    def margin(y):
-        s = 0.5 * linalg.brack(_jac(psi, y))
-        below = float(linalg.eigvals_sym(-s)[-1])       # violation of 0 <= sym(J)
-        above = float(linalg.eigvals_sym(s - gamma)[-1])  # violation of sym(J) <= Gamma
-        return max(below, above) / scale
+    def margin(ys):
+        s = 0.5 * linalg.brack(_jacobians(psi, ys))
+        # violations of 0 <= sym(J) and of sym(J) <= Gamma
+        return _lmax(np.stack([-s, s - gamma])).max(axis=0) / scale
 
-    margins = np.array([margin(ys[i]) for i in range(sch.count)])
-    return _finish(margins, lambda i: (ys[i],), lambda w: margin(w[0]))
-
-
-def check_symmetry(psi: NonlinearFn, sch: SampleScheme) -> CheckReport:
-    """Sample points and test J = J^T (max-norm asymmetry)."""
-    if psi.n_y != psi.n_psi:
-        raise linalg.DimensionError("symmetry check requires n_y = n_psi")
-    ys = sch.points(psi.n_y)
-
-    def margin(y):
-        j = _jac(psi, y)
-        scale = max(1.0, float(np.abs(j).max()))
-        return float(np.abs(j - j.T).max()) / scale
-
-    # finite differences leave O(step) asymmetry noise; use a looser gate
-    tol = MARGIN_TOL if psi.jacobian is not None else 1e-6
-    margins = np.array([margin(ys[i]) for i in range(sch.count)])
-    return _finish(margins, lambda i: (ys[i],), lambda w: margin(w[0]), tol)
+    return _check(margin, (sch.points(psi.n_y),))
 
 
 def lemma3_equivalence(s, gamma, tol: float = linalg.TOL_PSD) -> tuple[bool, bool]:

@@ -105,6 +105,3 @@ def get_builtin(name: str, n_y: int = 2, n_psi: int = 1) -> NonlinearFn:
             raise KeyError("builtin 'tanh' requires n_y = n_psi")
         return tanh_psi(n_y)
     raise KeyError(f"unknown builtin nonlinearity {name!r}")
-
-
-BUILTIN_NAMES = ("paper1", "paper2", "paper3", "zero", "tanh")

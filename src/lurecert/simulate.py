@@ -39,7 +39,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     domain: str
-    psi_name: str = ""
     psi_evaluations: int = 0
 
     def __post_init__(self):
@@ -53,27 +52,37 @@ class Trajectory:
         object.__setattr__(self, "states", x)
 
 
+def _simulate(cl: ClosedLoop, psi: NonlinearFn, x0, times: np.ndarray, step) -> Trajectory:
+    """The stepping loop of both simulators: x(k+1) = step(f, x(k)) on the
+    grid ``times``, where f(x) = A_cl x + B_cl psi(C x)."""
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x.shape != (cl.n_x,):
+        raise linalg.DimensionError(f"x0 has shape {x.shape}, expected ({cl.n_x},)")
+    evals = 0
+
+    def f(state):
+        nonlocal evals
+        evals += 1
+        return cl.A_cl @ state + cl.B_cl @ psi(cl.C @ state)
+
+    states = np.empty((len(times), cl.n_x))
+    states[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):  # DivergenceError reports it
+        for k in range(1, len(times)):
+            x = step(f, x)
+            if not np.all(np.isfinite(x)):
+                raise DivergenceError(k)
+            states[k] = x
+    return Trajectory(times=times, states=states, domain=cl.domain, psi_evaluations=evals)
+
+
 def simulate_dt(cl: ClosedLoop, psi: NonlinearFn, x0, steps: int) -> Trajectory:
     """Iterate x(k+1) = A_cl x(k) + B_cl psi(C x(k)) for ``steps`` steps."""
     if cl.domain != DISCRETE:
         raise ValueError("simulate_dt requires a discrete-time loop")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x.shape != (cl.n_x,):
-        raise linalg.DimensionError(f"x0 has shape {x.shape}, expected ({cl.n_x},)")
-    states = np.empty((steps + 1, cl.n_x))
-    states[0] = x
-    evals = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # DivergenceError reports it
-        for k in range(steps):
-            x = cl.A_cl @ x + cl.B_cl @ psi(cl.C @ x)
-            evals += 1
-            if not np.all(np.isfinite(x)):
-                raise DivergenceError(k + 1)
-            states[k + 1] = x
-    return Trajectory(times=np.arange(steps + 1, dtype=float), states=states,
-                      domain=DISCRETE, psi_name=psi.name, psi_evaluations=evals)
+    return _simulate(cl, psi, x0, np.arange(steps + 1, dtype=float), lambda f, x: f(x))
 
 
 def simulate_ct(cl: ClosedLoop, psi: NonlinearFn, x0, t_end: float,
@@ -85,39 +94,24 @@ def simulate_ct(cl: ClosedLoop, psi: NonlinearFn, x0, t_end: float,
         raise ValueError("dt must be positive")
     if not 0 < t_end < np.inf:
         raise ValueError("t_end must be positive and finite")
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x.shape != (cl.n_x,):
-        raise linalg.DimensionError(f"x0 has shape {x.shape}, expected ({cl.n_x},)")
     n_steps = int(round(t_end / dt))
     if n_steps < 1:
         raise ValueError(f"t_end = {t_end} is less than half of dt = {dt}: "
                          "the grid has no steps")
-    evals = 0
 
-    def f(state):
-        nonlocal evals
-        evals += 1
-        return cl.A_cl @ state + cl.B_cl @ psi(cl.C @ state)
+    def rk4(f, x):
+        k1 = f(x)
+        k2 = f(x + 0.5 * dt * k1)
+        k3 = f(x + 0.5 * dt * k2)
+        k4 = f(x + dt * k3)
+        return x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    states = np.empty((n_steps + 1, cl.n_x))
-    states[0] = x
-    with np.errstate(over="ignore", invalid="ignore"):  # DivergenceError reports it
-        for k in range(n_steps):
-            k1 = f(x)
-            k2 = f(x + 0.5 * dt * k1)
-            k3 = f(x + 0.5 * dt * k2)
-            k4 = f(x + dt * k3)
-            x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(x)):
-                raise DivergenceError(k + 1)
-            states[k + 1] = x
-    return Trajectory(times=dt * np.arange(n_steps + 1), states=states,
-                      domain=CONTINUOUS, psi_name=psi.name, psi_evaluations=evals)
+    return _simulate(cl, psi, x0, dt * np.arange(n_steps + 1), rk4)
 
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-step weighted distances and contraction measurements.
+    """Per-step contraction measurements of a trajectory pair.
 
     ``ratios`` are the plain per-step distance ratios d(k+1)/d(k);
     ``energy_ratios`` are their squares (ratios of squared weighted
@@ -126,25 +120,15 @@ class RateReport:
     -log(ratio)/dt.
     """
 
-    distances: np.ndarray
     ratios: np.ndarray
     energy_ratios: np.ndarray
     max_ratio: float
     max_energy_ratio: float
     rates: Optional[np.ndarray] = None
     min_rate: Optional[float] = None
-    eta: Optional[float] = None
 
 
-def weighted_distance(x1, x2, p) -> float:
-    d = np.asarray(x1, dtype=float) - np.asarray(x2, dtype=float)
-    q = float(d @ p @ d)
-    # clip tiny negative roundoff from the quadratic form
-    return float(np.sqrt(max(q, 0.0)))
-
-
-def rate_estimate(traj1: Trajectory, traj2: Trajectory, p, domain: str = None,
-                  dt: float = None, eta: float = None) -> RateReport:
+def rate_estimate(traj1: Trajectory, traj2: Trajectory, p) -> RateReport:
     """Measure per-step contraction of the pair (traj1, traj2) under ||.||_P."""
     p = linalg.as_sym(p, "P")
     ok, _ = linalg.is_pd(p)
@@ -153,7 +137,6 @@ def rate_estimate(traj1: Trajectory, traj2: Trajectory, p, domain: str = None,
     if traj1.states.shape != traj2.states.shape or not np.array_equal(
             traj1.times, traj2.times):
         raise linalg.DimensionError("trajectories must share an identical grid")
-    domain = domain or traj1.domain
     diffs = traj1.states - traj2.states
     dists = np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", diffs, p, diffs), 0.0))
     if dists[0] == 0.0:
@@ -166,15 +149,14 @@ def rate_estimate(traj1: Trajectory, traj2: Trajectory, p, domain: str = None,
     energy = ratios ** 2
     rates = None
     min_rate = None
-    if domain == CONTINUOUS:
-        if dt is None:
-            dt = float(traj1.times[1] - traj1.times[0])
+    if traj1.domain == CONTINUOUS:
+        dt = float(traj1.times[1] - traj1.times[0])
         rates = -np.log(np.maximum(ratios, 1e-300)) / dt
         min_rate = float(rates.min())
     return RateReport(
-        distances=dists, ratios=ratios, energy_ratios=energy,
+        ratios=ratios, energy_ratios=energy,
         max_ratio=float(ratios.max()), max_energy_ratio=float(energy.max()),
-        rates=rates, min_rate=min_rate, eta=eta,
+        rates=rates, min_rate=min_rate,
     )
 
 
@@ -186,7 +168,7 @@ class CertifyReport:
     details: list = field(default_factory=list)
 
 
-def sweep_pairs(cl: ClosedLoop, psis: Iterable[NonlinearFn], pairs, p, eta: float,
+def sweep_pairs(cl: ClosedLoop, psis: Iterable[NonlinearFn], pairs, p,
                 steps: int = 10, t_end: float = 10.0, dt: float = 1e-3):
     """Simulate both trajectories of each initial pair under each psi and
     measure their contraction under ||.||_P.
@@ -197,7 +179,7 @@ def sweep_pairs(cl: ClosedLoop, psis: Iterable[NonlinearFn], pairs, p, eta: floa
     for psi in psis:
         for i, (x0a, x0b) in enumerate(pairs):
             ta, tb = sim(cl, psi, x0a, *grid), sim(cl, psi, x0b, *grid)
-            yield psi, i, ta, tb, rate_estimate(ta, tb, p, eta=eta)
+            yield psi, i, ta, tb, rate_estimate(ta, tb, p)
 
 
 def random_pairs(n_x: int, seed: int = 0, n_pairs: int = 5) -> list:
@@ -231,7 +213,7 @@ def certify_empirically(sys: LureSystem, gains: Gains, psis: Iterable[NonlinearF
     worst = -np.inf
     details = []
     pairs = [(a, b) for a, b in initial_pairs if not np.allclose(a, b)]
-    for psi, _, _, _, rep in sweep_pairs(cl, psis, pairs, p, eta, steps, t_end, dt):
+    for psi, _, _, _, rep in sweep_pairs(cl, psis, pairs, p, steps, t_end, dt):
         worst = max(worst, rep.max_ratio)
         details.append((psi.name, rep.max_ratio))
     if not details:
@@ -253,12 +235,3 @@ def write_trajectory_csv(traj: Trajectory, path):
         for t, row in zip(traj.times, traj.states):
             w.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
 
-
-def read_trajectory_csv(path) -> Trajectory:
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        domain = DISCRETE if header[0] == "k" else CONTINUOUS
-        rows = [[float(v) for v in row] for row in r]
-    data = np.array(rows)
-    return Trajectory(times=data[:, 0], states=data[:, 1:], domain=domain)

@@ -24,13 +24,6 @@ class Series:
     label: str = ""
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
-    return raw
-
-
 def write_line_plot(path, series, title: str = "", xlabel: str = "",
                     ylabel: str = ""):
     series = list(series)
@@ -63,11 +56,11 @@ def write_line_plot(path, series, title: str = "", xlabel: str = "",
         f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" '
         f'y2="{HEIGHT - MARGIN}" stroke="black"/>',
     ]
-    for t in _ticks(x_lo, x_hi):
+    for t in np.linspace(x_lo, x_hi, 5):
         parts.append(
             f'<text x="{px(t):.1f}" y="{HEIGHT - MARGIN + 18}" font-size="11" '
             f'text-anchor="middle">{t:g}</text>')
-    for t in _ticks(y_lo, y_hi):
+    for t in np.linspace(y_lo, y_hi, 5):
         parts.append(
             f'<text x="{MARGIN - 8}" y="{py(t) + 4:.1f}" font-size="11" '
             f'text-anchor="end">{t:.3g}</text>')

@@ -105,7 +105,7 @@ class TestCriterion3RateReproduction:
             psi = paper_psi(idx)
             t1 = simulate_dt(cl, psi, x0a, DATA.steps)
             t2 = simulate_dt(cl, psi, x0b, DATA.steps)
-            rep = rate_estimate(t1, t2, p, eta=DATA.eta)
+            rep = rate_estimate(t1, t2, p)
             max_energy = max(max_energy, rep.max_energy_ratio)
             all_ratios.extend(rep.ratios.tolist())
         elapsed = time.perf_counter() - t0

@@ -113,6 +113,45 @@ class TestEigen:
         assert np.allclose(v @ np.diag(w) @ v.T, s, atol=1e-9 * max(1.0, abs(s).max()))
         assert np.all(np.diff(w) >= 0)
 
+    def test_eig_sym_on_a_stack_equals_per_matrix(self):
+        rng = np.random.default_rng(8)
+        stack = np.array([[random_sym(rng, 4, scale=10.0 ** k) for k in range(3)]
+                          for _ in range(2)])
+        w, v = linalg.eig_sym(stack)
+        assert w.shape == (2, 3, 4) and v.shape == (2, 3, 4, 4)
+        for i in range(2):
+            for k in range(3):
+                wi, vi = linalg.eig_sym(stack[i, k])
+                assert np.array_equal(w[i, k], wi)
+                assert np.array_equal(v[i, k], vi)
+        assert np.array_equal(linalg.eigvals_sym(stack), w)
+
+    @pytest.mark.parametrize("entry", [1.0, np.nan, np.inf], ids=["asymmetric", "nan", "inf"])
+    def test_eig_sym_rejects_one_bad_member(self, entry):
+        stack = np.stack([np.eye(3), 2.0 * np.eye(3), 3.0 * np.eye(3)])
+        stack[1, 0, 2] = entry
+        with pytest.raises(linalg.NumericError):
+            linalg.eig_sym(stack)
+
+    def test_eig_sym_symmetry_tolerance_is_per_member(self):
+        # roundoff-sized asymmetry at the scale of the large member would be
+        # gross asymmetry in the small one
+        stack = np.stack([1e6 * np.eye(2), np.eye(2)])
+        stack[1, 0, 1] = 1e-3
+        with pytest.raises(linalg.NumericError):
+            linalg.eig_sym(stack)
+
+    @pytest.mark.parametrize("m, error", [
+        (np.ones((2, 3)), linalg.DimensionError),
+        (np.ones((2, 2, 3)), linalg.DimensionError),
+        (np.array([[1.0, 2.0], [0.0, 1.0]]), linalg.NumericError),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), linalg.NumericError),
+        (np.ones((2, 2, 2, 2, 2))[..., :1], linalg.DimensionError),
+    ], ids=["rectangular", "rectangular-stack", "asymmetric", "nan", "rectangular-4d"])
+    def test_eig_sym_errors(self, m, error):
+        with pytest.raises(error):
+            linalg.eig_sym(m)
+
     def test_is_nsd_detects_signs(self):
         ok, lmax = linalg.is_nsd(-np.eye(2))
         assert ok and lmax == pytest.approx(-1.0)

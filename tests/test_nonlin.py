@@ -9,12 +9,10 @@ from lurecert.nonlin import (
     NO_VIOLATION,
     VIOLATED,
     SampleScheme,
-    check_lipschitz_differential,
     check_lipschitz_incremental,
     check_monotone,
     check_sector_differential,
     check_sector_incremental,
-    check_symmetry,
     jacobian_fd,
     lemma3_equivalence,
 )
@@ -75,11 +73,9 @@ class TestJacobianFd:
 class TestLipschitzCheckers:
     @pytest.mark.parametrize("idx", [1, 2, 3])
     def test_reference_nonlinearities_conform(self, idx):
-        psi = paper_psi(idx)
-        for checker in (check_lipschitz_incremental, check_lipschitz_differential):
-            report = checker(psi, REFERENCE_CLASS, SCHEME)
-            assert report.verdict == NO_VIOLATION
-            assert report.samples_used == SCHEME.count
+        report = check_lipschitz_incremental(paper_psi(idx), REFERENCE_CLASS, SCHEME)
+        assert report.verdict == NO_VIOLATION
+        assert report.samples_used == SCHEME.count
 
     def test_steep_linear_map_violates(self):
         psi = linear_psi(np.array([[2.0, 0.0]]))
@@ -92,11 +88,6 @@ class TestLipschitzCheckers:
         lhs = float(dp @ REFERENCE_CLASS.theta_psi @ dp)
         rhs = REFERENCE_CLASS.rho ** 2 * float(dy @ REFERENCE_CLASS.theta_y @ dy)
         assert lhs > rhs
-
-    def test_differential_violation_with_fd_jacobian(self):
-        psi = NonlinearFn(fn=lambda y: np.array([2.0 * y[0]]), n_y=2, n_psi=1)
-        report = check_lipschitz_differential(psi, REFERENCE_CLASS, SCHEME)
-        assert report.verdict == VIOLATED
 
     def test_dimension_mismatch(self):
         with pytest.raises(linalg.DimensionError):
@@ -125,6 +116,13 @@ class TestSectorCheckers:
         assert check_sector_incremental(psi, nc, SCHEME).verdict == VIOLATED
         assert check_sector_differential(psi, nc, SCHEME).verdict == VIOLATED
 
+    def test_differential_violation_with_fd_jacobian(self):
+        # no analytic Jacobian: the check falls back to central differences
+        nc = SectorBounded(gamma=np.array([[1.0, 0.0]]), theta=np.eye(1))
+        psi = NonlinearFn(fn=lambda y: np.array([2.0 * y[0]]), n_y=2, n_psi=1)
+        report = check_sector_differential(psi, nc, SCHEME)
+        assert report.verdict == VIOLATED
+
     def test_negative_slope_violates(self):
         nc = SectorBounded(gamma=np.eye(1), theta=np.eye(1))
         psi = linear_psi(np.array([[-0.5]]))
@@ -148,19 +146,6 @@ class TestMonotoneChecker:
     def test_requires_square_map(self):
         with pytest.raises(linalg.DimensionError):
             check_monotone(zero_psi(2, 1), np.eye(2), SCHEME)
-
-
-class TestSymmetryChecker:
-    def test_gradient_map_is_symmetric(self):
-        # gradient of 0.5 (y1^2 + y1 y2 + y2^2) has symmetric Jacobian
-        psi = NonlinearFn(
-            fn=lambda y: np.array([y[0] + 0.5 * y[1], 0.5 * y[0] + y[1]]),
-            n_y=2, n_psi=2)
-        assert check_symmetry(psi, SCHEME).verdict == NO_VIOLATION
-
-    def test_rotation_is_not_symmetric(self):
-        psi = linear_psi(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        assert check_symmetry(psi, SCHEME).verdict == VIOLATED
 
 
 class TestLemma3:
@@ -190,13 +175,11 @@ class TestComposedClassMembership:
         # |psi'| <= |scale| * ||w||, so pick scale * ||w|| <= rho
         nc = Lipschitz(rho=0.5, theta_y=np.eye(2), theta_psi=np.eye(1))
         psi = scaled_tanh_psi(0.4, [0.6, 0.8], offset=1.0, shift=0.3)
-        for checker in (check_lipschitz_incremental, check_lipschitz_differential):
-            assert checker(psi, nc, SCHEME).verdict == NO_VIOLATION
+        assert check_lipschitz_incremental(psi, nc, SCHEME).verdict == NO_VIOLATION
 
     def test_monotone_matches_lowered_sector_verdicts(self):
         # the differential sector check with (Gamma, Gamma^{-1}) agrees with
         # the monotonicity check for symmetric-Jacobian maps
-        rng = np.random.default_rng(6)
         cases = []
         for scale in (0.5, 1.0, 1.4, 2.5):
             cases.append(NonlinearFn(
@@ -213,4 +196,181 @@ class TestComposedClassMembership:
             assert mono == sect
             agreements += 1
         assert agreements == len(cases)
-        del rng
+
+
+class TestNonFinitePsi:
+    # 3 sqrt(y) is NaN for y < 0 (and breaks every bound near 0): a NaN
+    # margin must neither read as a pass nor escape as a NumericError
+    PSI = NonlinearFn(fn=lambda y: 3.0 * np.sqrt(np.where(y >= 0.0, y, np.nan)),
+                      n_y=1, n_psi=1, name="sqrt")
+
+    @pytest.mark.parametrize("check", [
+        lambda psi, sch: check_lipschitz_incremental(
+            psi, Lipschitz(rho=0.5, theta_y=np.eye(1), theta_psi=np.eye(1)), sch),
+        lambda psi, sch: check_sector_incremental(
+            psi, SectorBounded(gamma=np.eye(1), theta=np.eye(1)), sch),
+        lambda psi, sch: check_sector_differential(
+            psi, SectorBounded(gamma=np.eye(1), theta=np.eye(1)), sch),
+        lambda psi, sch: check_monotone(psi, np.eye(1), sch),
+    ], ids=["lipschitz-incremental", "sector-incremental", "sector-differential",
+            "monotone"])
+    def test_raises_naming_the_sample(self, check):
+        with pytest.raises(ValueError, match=r"margin is nan at sample \d+ \("):
+            check(self.PSI, SampleScheme(count=1000, seed=0))
+
+    def test_coincident_pairs_stay_legal(self):
+        # every pair coincides: the margin is -inf everywhere, not an error
+        class Coincident:
+            def pairs(self, dim):
+                return np.ones((5, dim)), np.ones((5, dim))
+
+        sch = Coincident()
+        report = check_lipschitz_incremental(
+            zero_psi(1, 1), Lipschitz(rho=0.5, theta_y=np.eye(1), theta_psi=np.eye(1)), sch)
+        assert report.verdict == NO_VIOLATION
+        assert report.worst_margin == -np.inf
+
+
+def _reference_finish(margins, witnesses, recheck):
+    """The per-sample reduction that the stacked checkers must reproduce."""
+    worst = int(np.argmax(margins))
+    worst_margin = float(margins[worst])
+    if worst_margin > 1e-9:
+        witness = witnesses(worst)
+        if recheck(witness) > 1e-9:
+            return VIOLATED, worst_margin, witness, len(margins)
+    return NO_VIOLATION, worst_margin, None, len(margins)
+
+
+def reference_lipschitz_incremental(psi, nc, sch):
+    ya, yb = sch.pairs(psi.n_y)
+    scale = nc.rho ** 2 * float(linalg.eigvals_sym(nc.theta_y)[-1])
+
+    def margin(y1, y2):
+        dy = y1 - y2
+        nrm = float(dy @ dy)
+        if nrm == 0.0:
+            return -np.inf
+        dp = psi(y1) - psi(y2)
+        lhs = float(dp @ nc.theta_psi @ dp)
+        rhs = nc.rho ** 2 * float(dy @ nc.theta_y @ dy)
+        return (lhs - rhs) / (scale * nrm)
+
+    margins = np.array([margin(ya[i], yb[i]) for i in range(sch.count)])
+    return _reference_finish(margins, lambda i: (ya[i], yb[i]), lambda w: margin(*w))
+
+
+def reference_sector_incremental(psi, nc, sch):
+    ya, yb = sch.pairs(psi.n_y)
+    theta_scale = float(linalg.eigvals_sym(nc.theta)[-1])
+    gamma_scale = max(1.0, float(np.linalg.norm(nc.gamma, 2)))
+
+    def margin(y1, y2):
+        dy = y1 - y2
+        dp = psi(y1) - psi(y2)
+        nrm = float(dp @ dp) + gamma_scale ** 2 * float(dy @ dy)
+        if nrm == 0.0:
+            return -np.inf
+        q = float(dp @ nc.theta @ (dp - nc.gamma @ dy))
+        return q / (theta_scale * nrm)
+
+    margins = np.array([margin(ya[i], yb[i]) for i in range(sch.count)])
+    return _reference_finish(margins, lambda i: (ya[i], yb[i]), lambda w: margin(*w))
+
+
+def _reference_jac(psi, y):
+    j = psi.jac(y)
+    return j if j is not None else jacobian_fd(psi, y)
+
+
+def reference_sector_differential(psi, nc, sch):
+    ys = sch.points(psi.n_y)
+    theta_scale = float(linalg.eigvals_sym(nc.theta)[-1])
+    gamma_scale = max(1.0, float(np.linalg.norm(nc.gamma, 2)))
+
+    def margin(y):
+        j = _reference_jac(psi, y)
+        m = linalg.brack(j.T @ nc.theta @ (j - nc.gamma))
+        return float(linalg.eigvals_sym(m)[-1]) / (theta_scale * gamma_scale ** 2)
+
+    margins = np.array([margin(ys[i]) for i in range(sch.count)])
+    return _reference_finish(margins, lambda i: (ys[i],), lambda w: margin(w[0]))
+
+
+def reference_monotone(psi, gamma, sch):
+    ys = sch.points(psi.n_y)
+    scale = max(1.0, float(linalg.eigvals_sym(gamma)[-1]))
+
+    def margin(y):
+        s = 0.5 * linalg.brack(_reference_jac(psi, y))
+        below = float(linalg.eigvals_sym(-s)[-1])
+        above = float(linalg.eigvals_sym(s - gamma)[-1])
+        return max(below, above) / scale
+
+    margins = np.array([margin(ys[i]) for i in range(sch.count)])
+    return _reference_finish(margins, lambda i: (ys[i],), lambda w: margin(w[0]))
+
+
+def _tanh_map(outer, inner, analytic):
+    """psi(y) = outer tanh(inner y), with or without its analytic Jacobian."""
+    def jac(y):
+        return outer @ np.diag(1.0 / np.cosh(inner @ y) ** 2) @ inner
+    return NonlinearFn(fn=lambda y: outer @ np.tanh(inner @ y),
+                       n_y=inner.shape[1], n_psi=outer.shape[0],
+                       jacobian=jac if analytic else None)
+
+
+# non-square, non-diagonal Gamma and non-identity Theta weights, so that a
+# transpose missing from a stacked margin changes its value or its shape
+GAMMA = np.array([[0.9, -0.4], [0.2, 0.7], [0.3, -0.5]])
+THETA = np.diag([2.0, 0.5, 1.2])
+THETA_Y = np.array([[2.0, 0.6, 0.0], [0.6, 1.0, -0.3], [0.0, -0.3, 1.5]])
+THETA_PSI = np.array([[1.0, 0.4], [0.4, 0.8]])
+INNER = np.array([[0.8, -0.3, 0.5], [0.1, 0.9, -0.6]])
+MONO_GAMMA = np.array([[2.0, 0.5], [0.5, 1.0]])
+MONO_L = np.linalg.cholesky(MONO_GAMMA)
+
+
+def _cases():
+    """(name, checker, reference, psi, class argument, conforming); the
+    pair checkers never take a Jacobian, the point checkers take an
+    analytic one and central differences."""
+    lip = Lipschitz(rho=1.0, theta_y=THETA_Y, theta_psi=THETA_PSI)
+    sector = SectorBounded(gamma=GAMMA, theta=THETA)
+    for lip_scale, scale, conforming in ((0.3, 0.8, True), (2.5, 1.5, False)):
+        label = "conforming" if conforming else "violating"
+        yield (f"lip-{label}", check_lipschitz_incremental, reference_lipschitz_incremental,
+               _tanh_map(lip_scale * np.eye(2), INNER, True), lip, conforming)
+        yield (f"sector-incremental-{label}", check_sector_incremental,
+               reference_sector_incremental, _tanh_map(scale * np.eye(3), GAMMA, True),
+               sector, conforming)
+        for analytic in (True, False):
+            jac = "analytic" if analytic else "fd"
+            yield (f"sector-differential-{label}-{jac}", check_sector_differential,
+                   reference_sector_differential,
+                   _tanh_map(scale * np.eye(3), GAMMA, analytic), sector, conforming)
+            yield (f"monotone-{label}-{jac}", check_monotone, reference_monotone,
+                   _tanh_map(scale * MONO_L, MONO_L.T, analytic), MONO_GAMMA, conforming)
+
+
+CASES = list(_cases())
+
+
+class TestReferenceMargins:
+    """The stacked checkers against the per-sample margins they replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 31])
+    @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+    def test_matches_per_sample_reference(self, case, seed):
+        name, checker, reference, psi, cls, conforming = case
+        sch = SampleScheme(bounds=(-2.0, 2.0), count=200, seed=seed)
+        report = checker(psi, cls, sch)
+        verdict, worst_margin, witness, samples_used = reference(psi, cls, sch)
+        assert report.verdict == verdict == (NO_VIOLATION if conforming else VIOLATED)
+        assert report.samples_used == samples_used == sch.count
+        assert report.worst_margin == pytest.approx(worst_margin, rel=1e-12, abs=0.0)
+        if witness is None:
+            assert report.witness is None
+        else:
+            assert len(report.witness) == len(witness)
+            assert all(np.array_equal(a, b) for a, b in zip(report.witness, witness))
