@@ -7,6 +7,7 @@ continuous-time and discrete-time settings, distinguished by a domain tag.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -218,6 +219,10 @@ NonlinearityClass = Lipschitz | SectorBounded | Monotone
 class NonlinearFn:
     """A concrete nonlinearity y -> psi(y) with an optional analytic Jacobian.
 
+    Calls take one (n_y,) vector or an (N, n_y) stack and return (n_psi,) /
+    (N, n_psi) values and (n_psi, n_y) / (N, n_psi, n_y) Jacobians.
+    ``vectorized`` declares that ``fn`` and ``jacobian`` broadcast over
+    leading axes; otherwise a stack is evaluated one row at a time.
     Evaluators must be pure; checkers and simulators assume repeated calls
     with the same input return the same output.
     """
@@ -227,27 +232,36 @@ class NonlinearFn:
     n_psi: int
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
+    vectorized: bool = False
 
     def __call__(self, y) -> np.ndarray:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if y.shape != (self.n_y,):
-            raise linalg.DimensionError(
-                f"input has shape {y.shape}, expected ({self.n_y},)"
-            )
-        out = np.atleast_1d(np.asarray(self.fn(y), dtype=float))
-        if out.shape != (self.n_psi,):
-            raise linalg.DimensionError(
-                f"evaluator returned shape {out.shape}, expected ({self.n_psi},)"
-            )
-        return out
+        return self._apply(self.fn, y, (self.n_psi,), "evaluator")
 
     def jac(self, y) -> Optional[np.ndarray]:
-        """Analytic Jacobian at y, or None when not provided."""
+        """Analytic Jacobian at y (or at each row of a stack), or None when
+        not provided.  One vector's Jacobian may also come back as a flat
+        row-major vector of n_psi * n_y entries."""
         if self.jacobian is None:
             return None
+        return self._apply(self.jacobian, y, (self.n_psi, self.n_y), "Jacobian")
+
+    def _apply(self, f, y, shape: tuple, what: str) -> np.ndarray:
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        j = np.asarray(self.jacobian(y), dtype=float).reshape(self.n_psi, self.n_y)
-        return j
+        if y.ndim > 2 or y.shape[-1:] != (self.n_y,):
+            raise linalg.DimensionError(
+                f"input has shape {y.shape}, expected ({self.n_y},) or (N, {self.n_y})")
+        if y.ndim == 2 and not self.vectorized:
+            return np.array([self._apply(f, row, shape, what) for row in y]).reshape(
+                (len(y),) + shape)
+        out = np.asarray(f(y), dtype=float)
+        if y.ndim == 2:
+            shape = (len(y),) + shape
+        elif out.ndim <= 1 and out.size == math.prod(shape):
+            out = out.reshape(shape)  # a scalar or a flat row-major vector
+        if out.shape != shape:
+            raise linalg.DimensionError(
+                f"{what} returned shape {out.shape}, expected {shape}")
+        return out
 
 
 def close_loop(sys: LureSystem, g: Gains) -> ClosedLoop:

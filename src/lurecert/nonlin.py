@@ -3,7 +3,7 @@
 These checkers are falsifiers, not provers: a "no-violation-found" verdict
 means the declared class inequality survived every sampled point or pair.
 Each checker writes its normalized margin once, over the whole stack of
-samples; psi is still evaluated one (n_y,) vector at a time.  Every
+samples, and calls psi (or its Jacobian) once per stack.  Every
 "violated" verdict carries a witness that re-evaluates to a genuine
 violation, so sampling artifacts are never reported as findings, and a
 margin that cannot be evaluated (psi not finite) is an error, never a pass.
@@ -67,33 +67,23 @@ class CheckReport:
 
 
 def jacobian_fd(psi: NonlinearFn, y, step: float = None) -> np.ndarray:
-    """Central-difference Jacobian of psi at y.
+    """Central-difference Jacobian of psi at y, (n_psi, n_y), or at each row
+    of an (N, n_y) stack, (N, n_psi, n_y).
 
-    The default step is 1e-5 * max(1, |y_i|) per coordinate, balancing
-    truncation against roundoff in double precision.
+    The default step is 1e-5 * max(1, |y_i|) per coordinate of each row,
+    balancing truncation against roundoff in double precision.  psi is
+    called 2 n_y times, each time on the whole stack.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    j = np.empty((psi.n_psi, psi.n_y))
+    if step is not None and not step > 0:
+        raise ValueError("step must be positive")
+    h = np.full_like(y, step) if step is not None else 1e-5 * np.fmax(1.0, np.abs(y))
+    j = np.empty(y.shape[:-1] + (psi.n_psi, psi.n_y))
     for i in range(psi.n_y):
-        h = step if step is not None else 1e-5 * max(1.0, abs(y[i]))
-        if not h > 0:
-            raise ValueError("step must be positive")
         e = np.zeros_like(y)
-        e[i] = h
-        j[:, i] = (psi(y + e) - psi(y - e)) / (2.0 * h)
+        e[..., i] = h[..., i]
+        j[..., i] = (psi(y + e) - psi(y - e)) / (2.0 * h[..., i, None])
     return j
-
-
-def _rows(f, ys: np.ndarray) -> np.ndarray:
-    """f applied to each row of ``ys``, stacked: psi and its Jacobian take
-    one (n_y,) vector at a time."""
-    return np.array([f(y) for y in ys])
-
-
-def _jacobians(psi: NonlinearFn, ys: np.ndarray) -> np.ndarray:
-    """Jacobians at the rows of ``ys``: analytic when psi has one, else
-    central differences."""
-    return _rows(psi.jac if psi.jacobian is not None else lambda y: jacobian_fd(psi, y), ys)
 
 
 def _lmax(m: np.ndarray) -> np.ndarray:
@@ -152,7 +142,7 @@ def check_lipschitz_incremental(psi: NonlinearFn, nc: Lipschitz,
 
     def margin(y1, y2):
         dy = y1 - y2
-        dp = _rows(psi, y1) - _rows(psi, y2)
+        dp = psi(y1) - psi(y2)
         nrm = _dot(dy, dy)
         lhs = _dot(dp @ nc.theta_psi, dp)
         rhs = nc.rho ** 2 * _dot(dy @ nc.theta_y, dy)
@@ -170,7 +160,7 @@ def check_sector_incremental(psi: NonlinearFn, nc: SectorBounded,
 
     def margin(y1, y2):
         dy = y1 - y2
-        dp = _rows(psi, y1) - _rows(psi, y2)
+        dp = psi(y1) - psi(y2)
         nrm = _dot(dp, dp) + gamma_scale ** 2 * _dot(dy, dy)
         q = _dot(dp @ nc.theta, dp - dy @ nc.gamma.T)
         return np.where(nrm == 0.0, -np.inf, q / (theta_scale * nrm))
@@ -186,7 +176,7 @@ def check_sector_differential(psi: NonlinearFn, nc: SectorBounded,
     gamma_scale = max(1.0, float(np.linalg.norm(nc.gamma, 2)))
 
     def margin(ys):
-        j = _jacobians(psi, ys)
+        j = psi.jac(ys) if psi.jacobian is not None else jacobian_fd(psi, ys)
         m = linalg.brack(np.swapaxes(j, -1, -2) @ nc.theta @ (j - nc.gamma))
         return _lmax(m) / (theta_scale * gamma_scale ** 2)
 
@@ -200,7 +190,8 @@ def check_monotone(psi: NonlinearFn, gamma, sch: SampleScheme) -> CheckReport:
     scale = max(1.0, float(linalg.eigvals_sym(gamma)[-1]))
 
     def margin(ys):
-        s = 0.5 * linalg.brack(_jacobians(psi, ys))
+        j = psi.jac(ys) if psi.jacobian is not None else jacobian_fd(psi, ys)
+        s = 0.5 * linalg.brack(j)
         # violations of 0 <= sym(J) and of sym(J) <= Gamma
         return _lmax(np.stack([-s, s - gamma])).max(axis=0) / scale
 

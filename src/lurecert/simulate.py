@@ -34,6 +34,8 @@ class Trajectory:
     """A simulated state sequence on a uniform grid.
 
     ``times`` holds step indices (discrete) or uniform times (continuous).
+    ``states`` is (T, n_x) for one initial state and (T, N, n_x) for a
+    stack of N.
     """
 
     times: np.ndarray
@@ -53,31 +55,35 @@ class Trajectory:
 
 
 def _simulate(cl: ClosedLoop, psi: NonlinearFn, x0, times: np.ndarray, step) -> Trajectory:
-    """The stepping loop of both simulators: x(k+1) = step(f, x(k)) on the
-    grid ``times``, where f(x) = A_cl x + B_cl psi(C x)."""
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x.shape != (cl.n_x,):
-        raise linalg.DimensionError(f"x0 has shape {x.shape}, expected ({cl.n_x},)")
+    """The stepping loop of both simulators: X(k+1) = step(f, X(k)) on the
+    grid ``times`` for the (N, n_x) stack of states X, where
+    f(X) = X A_cl^T + psi(X C^T) B_cl^T.  One x0 is a stack of one."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.ndim > 2 or x0.shape[-1:] != (cl.n_x,):
+        raise linalg.DimensionError(
+            f"x0 has shape {x0.shape}, expected ({cl.n_x},) or (N, {cl.n_x})")
     evals = 0
 
-    def f(state):
+    def f(x):
         nonlocal evals
         evals += 1
-        return cl.A_cl @ state + cl.B_cl @ psi(cl.C @ state)
+        return x @ cl.A_cl.T + psi(x @ cl.C.T) @ cl.B_cl.T
 
-    states = np.empty((len(times), cl.n_x))
-    states[0] = x
+    x = x0.reshape(-1, cl.n_x)
+    states = np.empty((len(times),) + x0.shape)
+    states[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):  # DivergenceError reports it
         for k in range(1, len(times)):
             x = step(f, x)
             if not np.all(np.isfinite(x)):
                 raise DivergenceError(k)
-            states[k] = x
+            states[k] = x.reshape(x0.shape)
     return Trajectory(times=times, states=states, domain=cl.domain, psi_evaluations=evals)
 
 
 def simulate_dt(cl: ClosedLoop, psi: NonlinearFn, x0, steps: int) -> Trajectory:
-    """Iterate x(k+1) = A_cl x(k) + B_cl psi(C x(k)) for ``steps`` steps."""
+    """Iterate x(k+1) = A_cl x(k) + B_cl psi(C x(k)) for ``steps`` steps from
+    x0, one (n_x,) state or an (N, n_x) stack."""
     if cl.domain != DISCRETE:
         raise ValueError("simulate_dt requires a discrete-time loop")
     if steps < 1:
@@ -87,7 +93,8 @@ def simulate_dt(cl: ClosedLoop, psi: NonlinearFn, x0, steps: int) -> Trajectory:
 
 def simulate_ct(cl: ClosedLoop, psi: NonlinearFn, x0, t_end: float,
                 dt: float) -> Trajectory:
-    """Integrate xdot = A_cl x + B_cl psi(C x) with fixed-step RK4."""
+    """Integrate xdot = A_cl x + B_cl psi(C x) with fixed-step RK4 from x0,
+    one (n_x,) state or an (N, n_x) stack."""
     if cl.domain != CONTINUOUS:
         raise ValueError("simulate_ct requires a continuous-time loop")
     if not dt > 0:
@@ -171,14 +178,20 @@ class CertifyReport:
 def sweep_pairs(cl: ClosedLoop, psis: Iterable[NonlinearFn], pairs, p,
                 steps: int = 10, t_end: float = 10.0, dt: float = 1e-3):
     """Simulate both trajectories of each initial pair under each psi and
-    measure their contraction under ||.||_P.
+    measure their contraction under ||.||_P.  All trajectories of one psi
+    are one stacked simulation.
 
     Yields (psi, pair index, trajectory a, trajectory b, RateReport).
     """
     sim, grid = (simulate_dt, (steps,)) if cl.domain == DISCRETE else (simulate_ct, (t_end, dt))
+    x0 = np.array([x for pair in pairs for x in pair], dtype=float)
+    if not len(x0):
+        return
     for psi in psis:
-        for i, (x0a, x0b) in enumerate(pairs):
-            ta, tb = sim(cl, psi, x0a, *grid), sim(cl, psi, x0b, *grid)
+        stack = sim(cl, psi, x0, *grid)
+        trajs = [Trajectory(stack.times, stack.states[:, j], stack.domain,
+                            stack.psi_evaluations) for j in range(len(x0))]
+        for i, (ta, tb) in enumerate(zip(trajs[::2], trajs[1::2])):
             yield psi, i, ta, tb, rate_estimate(ta, tb, p)
 
 
@@ -227,10 +240,14 @@ def certify_empirically(sys: LureSystem, gains: Gains, psis: Iterable[NonlinearF
 def write_trajectory_csv(traj: Trajectory, path):
     """Write one trajectory as CSV: header k,x1..xn (DT) or t,x1..xn (CT),
     full double precision."""
+    if traj.states.ndim != 2:
+        raise linalg.DimensionError(
+            f"states have shape {traj.states.shape}: write one (T, n_x) trajectory "
+            "of a stack at a time")
     n = traj.states.shape[1]
     label = "k" if traj.domain == DISCRETE else "t"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow([label] + [f"x{i + 1}" for i in range(n)])
         for t, row in zip(traj.times, traj.states):
             w.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])

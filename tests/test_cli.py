@@ -297,6 +297,16 @@ class TestSimulateCommand:
         assert (csv_dir / "paper1_pair0_a.csv").exists()
         assert plot.read_text().startswith("<svg")
 
+    def test_one_diverging_pair_exits_2(self, tmp_path, capsys):
+        # x -> 3 x: from 1e-300 the first pair stays finite for 1000 steps,
+        # the second pair overflows; both pairs are one stacked simulation
+        path = write_problem(tmp_path, DIVERGING_DT)
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps([[[0.0], [1e-300]], [[1.0], [-1.0]]]))
+        assert main(["simulate", path, "--pairs", str(pairs), "--steps", "1000",
+                     "--quiet"]) == 2
+        assert "diverged at step 647" in capsys.readouterr().err
+
     def test_coincident_pair_is_a_usage_error(self, tmp_path):
         path = write_problem(tmp_path, REFERENCE_PROBLEM)
         pairs = tmp_path / "pairs.json"

@@ -85,7 +85,7 @@ def test_certify_reaches_simulate_through_module_globals(monkeypatch, domain, si
     sims = count_calls(monkeypatch, simulate, simulator)
     rates = count_calls(monkeypatch, simulate, "rate_estimate")
     certify(domain)
-    assert len(sims) == 4  # two psis x both trajectories of the pair
+    assert len(sims) == 2  # one stacked simulation per psi
     assert len(rates) == 2
 
 

@@ -16,6 +16,7 @@ from lurecert.model import (
     close_loop,
     recover_gains,
 )
+from lurecert.psilib import linear_psi, paper_psi, scaled_tanh_psi, tanh_psi, zero_psi
 
 
 def make_system(domain=DISCRETE):
@@ -130,3 +131,90 @@ class TestNonlinearFn:
         psi = NonlinearFn(fn=lambda y: y, n_y=2, n_psi=2,
                           jacobian=lambda y: np.eye(2).ravel())
         assert psi.jac(np.zeros(2)).shape == (2, 2)
+
+    def test_jac_rejects_transposed_shape(self):
+        # a (n_y, n_psi) Jacobian has the right number of entries but is
+        # not row-major (n_psi, n_y): reshaping it would misread it
+        psi = NonlinearFn(fn=lambda y: y[:2], n_y=3, n_psi=2,
+                          jacobian=lambda y: np.array([[1.0, 0.0, 0.0],
+                                                       [0.0, 2.0, 0.0]]).T)
+        with pytest.raises(linalg.DimensionError, match=r"\(3, 2\), expected \(2, 3\)"):
+            psi.jac(np.zeros(3))
+        with pytest.raises(linalg.DimensionError):
+            psi.jac(np.zeros((4, 3)))
+
+    def test_input_must_be_vector_or_stack(self):
+        psi = zero_psi(2, 1)
+        for y in (np.zeros((3, 3)), np.zeros((2, 2, 2))):
+            with pytest.raises(linalg.DimensionError):
+                psi(y)
+            with pytest.raises(linalg.DimensionError):
+                psi.jac(y)
+
+
+# every psilib builtin, evaluated away from its flat regions
+BUILTINS = {
+    "paper1": paper_psi(1),
+    "paper2": paper_psi(2),
+    "paper3": paper_psi(3),
+    "zero": zero_psi(3, 2),
+    "tanh": tanh_psi(3),
+    "linear": linear_psi(np.array([[0.9, -0.4, 0.3], [0.2, 0.7, -0.5]])),
+    "scaled-tanh": scaled_tanh_psi(1.7, [0.3, -0.8, 0.5], offset=0.2, shift=0.1),
+}
+
+
+class TestStackedCalls:
+    """psi of an (N, n_y) stack: one call for a declared psi, one call per
+    row for any other."""
+
+    @pytest.mark.parametrize("name", list(BUILTINS))
+    def test_builtin_stack_equals_rows(self, name):
+        psi = BUILTINS[name]
+        assert psi.vectorized
+        ys = np.random.default_rng(3).uniform(-3.0, 3.0, (50, psi.n_y))
+        values, jacobians = psi(ys), psi.jac(ys)
+        assert values.shape == (50, psi.n_psi)
+        assert jacobians.shape == (50, psi.n_psi, psi.n_y)
+        assert np.array_equal(values, np.array([psi(y) for y in ys]))
+        assert np.array_equal(jacobians, np.array([psi.jac(y) for y in ys]))
+
+    def test_undeclared_psi_runs_row_by_row(self):
+        # np.diag does not broadcast over a stack: the per-row path must
+        # be taken, one call per row
+        calls = []
+
+        def jac(y):
+            calls.append(y.shape)
+            return np.diag(2.5 / np.cosh(y) ** 2)
+
+        psi = NonlinearFn(fn=lambda y: 2.5 * np.tanh(y), n_y=2, n_psi=2, jacobian=jac)
+        ys = np.random.default_rng(4).uniform(-2.0, 2.0, (6, 2))
+        j = psi.jac(ys)
+        assert calls == [(2,)] * 6
+        assert np.array_equal(j, np.array([np.diag(2.5 / np.cosh(y) ** 2) for y in ys]))
+        assert np.array_equal(psi(ys), 2.5 * np.tanh(ys))
+        assert psi(np.zeros((0, 2))).shape == (0, 2)
+
+    def test_declared_psi_is_called_once_per_stack(self):
+        calls = []
+
+        def fn(y):
+            calls.append(y.shape)
+            return np.tanh(y)
+
+        psi = NonlinearFn(fn=fn, n_y=2, n_psi=2, vectorized=True)
+        psi(np.zeros((7, 2)))
+        psi(np.zeros(2))
+        assert calls == [(7, 2), (2,)]
+
+    @pytest.mark.parametrize("fn, jacobian", [
+        (lambda y: np.tanh(y)[..., :1], None),          # (N, 1) for n_psi = 2
+        (lambda y: np.tanh(y).ravel(), None),           # flattened stack
+        (np.tanh, lambda y: np.diag(1.0 / np.cosh(y) ** 2)),  # (n_y, n_y) for any N
+        (np.tanh, lambda y: np.zeros(y.shape[:-1] + (4,))),   # flat per row
+    ], ids=["short-values", "flat-values", "diag-jacobian", "flat-jacobian"])
+    def test_declared_psi_wrong_stacked_shape_raises(self, fn, jacobian):
+        psi = NonlinearFn(fn=fn, n_y=2, n_psi=2, jacobian=jacobian, vectorized=True)
+        with pytest.raises(linalg.DimensionError, match=r"expected \(5, 2"):
+            psi.jac(np.zeros((5, 2))) if jacobian is not None else psi(np.zeros((5, 2)))

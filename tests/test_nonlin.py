@@ -69,6 +69,24 @@ class TestJacobianFd:
         with pytest.raises(ValueError):
             jacobian_fd(psi, np.zeros(1), step=0.0)
 
+    def test_stack_equals_rows_with_stacked_calls(self):
+        # each row gets its own step 1e-5 * max(1, |y_i|); a declared psi
+        # is called 2 n_y times on the whole stack
+        calls = []
+
+        def fn(y):
+            calls.append(y.shape)
+            return paper_psi(2).fn(y)
+
+        psi = NonlinearFn(fn=fn, n_y=2, n_psi=1, vectorized=True)
+        ys = np.random.default_rng(6).uniform(-40.0, 40.0, (30, 2))
+        j = jacobian_fd(psi, ys)
+        assert calls == [(30, 2)] * 4
+        assert j.shape == (30, 1, 2)
+        assert np.array_equal(j, np.array([jacobian_fd(psi, y) for y in ys]))
+        assert np.array_equal(jacobian_fd(psi, ys, step=1e-3),
+                              np.array([jacobian_fd(psi, y, step=1e-3) for y in ys]))
+
 
 class TestLipschitzCheckers:
     @pytest.mark.parametrize("idx", [1, 2, 3])

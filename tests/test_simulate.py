@@ -10,15 +10,19 @@ from lurecert.model import (
     ClosedLoop,
     Gains,
     LureSystem,
+    NonlinearFn,
+    close_loop,
 )
 from lurecert.psilib import paper_psi, tanh_psi, zero_psi
 from lurecert.simulate import (
     DivergenceError,
     Trajectory,
     certify_empirically,
+    random_pairs,
     rate_estimate,
     simulate_ct,
     simulate_dt,
+    sweep_pairs,
     write_trajectory_csv,
 )
 
@@ -112,6 +116,62 @@ class TestSimulateCt:
             simulate_ct(cl, zero_psi(1, 1), np.zeros(1), t_end=1e-4, dt=1e-3)
         traj = simulate_ct(cl, zero_psi(1, 1), np.zeros(1), t_end=6e-4, dt=1e-3)
         assert len(traj.times) == 2
+
+
+class TestStackedSimulation:
+    """One simulation of an (N, n_x) stack of initial states."""
+
+    def loops(self):
+        a = 0.3 * np.random.default_rng(11).normal(size=(3, 3))
+        gains = Gains(K=np.zeros((1, 3)), K_psi=np.zeros((1, 1)))
+        return tuple(close_loop(LureSystem(A=a_d, B=np.zeros((3, 1)),
+                                           B_psi=np.array([[0.3], [0.0], [0.5]]),
+                                           C=np.eye(3)[:2], domain=domain), gains)
+                     for a_d, domain in ((a, DISCRETE), (a - np.eye(3), CONTINUOUS)))
+
+    def test_stack_shape_and_single_state_shape(self):
+        cl, _ = self.loops()
+        x0 = np.random.default_rng(1).uniform(-1.0, 1.0, (4, 3))
+        traj = simulate_dt(cl, paper_psi(2), x0, steps=5)
+        assert traj.states.shape == (6, 4, 3)
+        assert traj.psi_evaluations == 5
+        assert simulate_dt(cl, paper_psi(2), x0[0], steps=5).states.shape == (6, 3)
+        with pytest.raises(linalg.DimensionError):
+            simulate_dt(cl, paper_psi(2), np.zeros((2, 2, 3)), steps=5)
+
+    @pytest.mark.parametrize("domain", [DISCRETE, CONTINUOUS])
+    def test_sweep_matches_one_run_per_initial_state(self, domain):
+        cl = self.loops()[domain == CONTINUOUS]
+        grid = {"steps": 40} if domain == DISCRETE else {"t_end": 0.4, "dt": 1e-2}
+        sim = simulate_dt if domain == DISCRETE else simulate_ct
+        psis = [paper_psi(i) for i in (1, 2, 3)] + [zero_psi(2, 1)]
+        pairs = random_pairs(3, seed=2, n_pairs=3)
+        p = np.diag([1.0, 2.0, 0.5])
+        seen = 0
+        for psi, i, ta, tb, rep in sweep_pairs(cl, psis, pairs, p, **grid):
+            for traj, x0 in ((ta, pairs[i][0]), (tb, pairs[i][1])):
+                one = sim(cl, psi, x0, *grid.values())
+                assert traj.states.shape == one.states.shape
+                np.testing.assert_allclose(traj.states, one.states, rtol=1e-13,
+                                           atol=1e-13 * np.abs(one.states).max())
+                assert traj.psi_evaluations == one.psi_evaluations
+            seen += 1
+        assert seen == len(psis) * len(pairs)
+
+    def test_one_diverging_member_raises(self):
+        # x -> 0.5 x + x^2 settles from 0.1 and overflows from 2.0
+        cl = ClosedLoop(A_cl=np.array([[0.5]]), B_cl=np.array([[1.0]]), C=np.eye(1),
+                        domain=DISCRETE)
+        square = NonlinearFn(fn=lambda y: y ** 2, n_y=1, n_psi=1, vectorized=True)
+        assert np.all(np.isfinite(simulate_dt(cl, square, np.array([[0.1], [-0.2]]),
+                                              steps=20).states))
+        with pytest.raises(DivergenceError) as exc:
+            simulate_dt(cl, square, np.array([[0.1], [2.0], [-0.2]]), steps=20)
+        assert exc.value.step == 10
+        with pytest.raises(DivergenceError):
+            list(sweep_pairs(cl, [square], [(np.array([0.1]), np.array([-0.2])),
+                                            (np.array([0.3]), np.array([2.0]))],
+                             np.eye(1), steps=20))
 
 
 class TestRateEstimate:
@@ -214,7 +274,8 @@ class TestCertifyEmpirically:
     @pytest.mark.parametrize("psis, pairs", [
         ([], [(np.ones(3), -np.ones(3))]),
         ([paper_psi(1)], [(np.ones(3), np.ones(3)), (-np.ones(3), -np.ones(3))]),
-    ], ids=["no-psi", "coincident-pairs"])
+        ([paper_psi(1)], []),
+    ], ids=["no-psi", "coincident-pairs", "no-pairs"])
     def test_nothing_simulated_raises(self, psis, pairs):
         # with nothing simulated there is no evidence, even for a rate of 0.01
         sys, gains, p = self.reference()
@@ -257,6 +318,19 @@ class TestCsvRoundTrip:
         back = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(back[:, 0], traj.times)
         assert np.array_equal(back[:, 1:], traj.states)
+
+    def test_line_endings_are_lf(self, tmp_path):
+        cl = linear_loop(np.array([[0.5]]), DISCRETE)
+        traj = simulate_dt(cl, zero_psi(1, 1), np.array([0.0]), steps=1)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        assert path.read_bytes() == b"k,x1\n0,0\n1,0\n"
+
+    def test_stacked_trajectory_refused(self, tmp_path):
+        cl = linear_loop(np.array([[0.5]]), DISCRETE)
+        stack = simulate_dt(cl, zero_psi(1, 1), np.zeros((2, 1)), steps=1)
+        with pytest.raises(linalg.DimensionError, match="one \\(T, n_x\\) trajectory"):
+            write_trajectory_csv(stack, tmp_path / "traj.csv")
 
     def test_ct_header(self, tmp_path):
         cl = linear_loop(np.array([[-1.0]]), CONTINUOUS)
