@@ -141,7 +141,8 @@ class AffinePencil:
             raise linalg.DimensionError(
                 f"coordinate vector has length {x.shape[0]}, expected {self.layout.size}"
             )
-        m = self.F0 + np.tensordot(x, self.basis, axes=(0, 0))
+        dim = self.dim
+        m = self.F0 + (x @ self.basis.reshape(x.shape[0], dim * dim)).reshape(dim, dim)
         return 0.5 * (m + m.T)
 
     def evaluate(self, assignment: dict[str, np.ndarray]) -> np.ndarray:

@@ -171,12 +171,13 @@ class _BarrierModel:
             x0[k[i == j]] = min(max(1.0, 2 * eps), (eps + prob.box) / 2)
 
         self.blocks = blocks
-        # whitened coefficients Y = L^{-1} A L^{-T}, rewritten by barrier()
+        # whitened coefficients Y = L^{-1} A L^{-T} and the box slacks at
+        # the last barrier() point, for max_step()
         self._y = [np.empty_like(a) for _, a in blocks]
-        # L^{-1} of each block and the box slacks at the last barrier()
-        # point, for max_step()
-        self._linv = [None] * len(blocks)
         self._slacks = None
+        # (z, phi, slacks, Cholesky factors) of the last point phi() found
+        # inside the domain, which barrier() reuses at that point
+        self._inside = None
 
         # start just inside the pencil block: t below -lambda_max(F(x0))
         lmax = float(np.linalg.eigvalsh(prob.pencil.evaluate_coords(x0))[-1])
@@ -193,7 +194,7 @@ class _BarrierModel:
         return hi, lo
 
     def _chol(self, c, a, z):
-        s = -(c + np.tensordot(z, a, axes=(0, 0)))
+        s = -(c + (z @ a.reshape(z.size, -1)).reshape(c.shape))
         try:
             return np.linalg.cholesky(0.5 * (s + s.T))
         except np.linalg.LinAlgError:
@@ -201,45 +202,43 @@ class _BarrierModel:
 
     def phi(self, z: np.ndarray):
         """Barrier value at z, or None outside the domain: one Cholesky
-        factorisation per LMI block."""
+        factorisation per LMI block, kept for barrier() at z."""
         slacks = self._box_slacks(z)
         if slacks is None:
             return None
         val = -float(np.sum(np.log(slacks[0])) + np.sum(np.log(slacks[1])))
+        chols = []
         for c, a in self.blocks:
             chol = self._chol(c, a, z)
             if chol is None:
                 return None
             val -= 2.0 * float(np.sum(np.log(np.diag(chol))))
+            chols.append(chol)
+        self._inside = (z.copy(), val, slacks, chols)
         return val
 
     def barrier(self, z: np.ndarray):
         """phi, gradient, Hessian of the log-det barrier at z; None if
-        outside the domain.  Keeps what max_step() needs at z."""
-        slacks = self._box_slacks(z)
-        if slacks is None:
-            return None
+        outside the domain.  Factors only if z is not the last point phi()
+        found inside the domain, and keeps what max_step() needs at z."""
+        if self._inside is None or not np.array_equal(z, self._inside[0]):
+            if self.phi(z) is None:
+                return None
+        _, phi, slacks, chols = self._inside
         hi, lo = slacks
-        phi = -float(np.sum(np.log(hi)) + np.sum(np.log(lo)))
         g = np.zeros(self.nz)
         g[:self.n] = 1.0 / hi - 1.0 / lo
         h = np.zeros((self.nz, self.nz))
         h[np.diag_indices(self.n)] = 1.0 / hi ** 2 + 1.0 / lo ** 2
-        for k, (c, a) in enumerate(self.blocks):
-            chol = self._chol(c, a, z)
-            if chol is None:
-                return None
-            phi -= 2.0 * float(np.sum(np.log(np.diag(chol))))
+        for (c, a), chol, y in zip(self.blocks, chols, self._y):
             linv = np.linalg.inv(chol)
             if not np.all(np.isfinite(linv)):
                 return None
             m = c.shape[0]
-            y = self._y[k]
             np.matmul(linv, (a.reshape(-1, m) @ linv.T).reshape(y.shape), out=y)
             g += np.trace(y, axis1=1, axis2=2)
             yf = y.reshape(self.nz, m * m)
             h += yf @ yf.T
-            self._linv[k] = linv
         self._slacks = slacks
         return phi, g, h
 
@@ -250,9 +249,9 @@ class _BarrierModel:
         dx = dz[:self.n]
         hi, lo = self._slacks
         rate = float(np.max(np.abs(dx) / np.where(dx > 0, hi, lo), initial=0.0))
-        for (_, a), linv in zip(self.blocks, self._linv):
-            # S(z + alpha dz) = L (I - alpha L^{-1} dS L^{-T}) L^T
-            d = linv @ np.tensordot(dz, a, axes=(0, 0)) @ linv.T
+        for y in self._y:
+            # S(z + alpha dz) = L (I - alpha sum_i dz_i Y_i) L^T
+            d = (dz @ y.reshape(dz.size, -1)).reshape(y.shape[1:])
             rate = max(rate, float(np.linalg.eigvalsh(0.5 * (d + d.T))[-1]))
         return 1.0 / rate if rate > 0 else np.inf
 
@@ -283,10 +282,6 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
     breakdown = False
     early = False
 
-    def audited_feasible(zc):
-        witness = prob.pencil.layout.unpack(zc[:n])
-        return audit(prob, witness, margin_min=opts.margin_min).satisfied
-
     while total_newton < opts.max_iter:
         # center at current mu
         centered = False
@@ -299,9 +294,9 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
                 break
             phi, g_phi, h_phi = bar
             grad = c_obj / mu + g_phi
-            hess = h_phi + 1e-12 * np.eye(model.nz)
+            h_phi.flat[::model.nz + 1] += 1e-12
             try:
-                step = np.linalg.solve(hess, -grad)
+                step = np.linalg.solve(h_phi, -grad)
             except np.linalg.LinAlgError:
                 breakdown = True
                 break
@@ -328,7 +323,9 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
             if not accepted:
                 break
             if z[n] >= max(MARGIN_STOP, 10 * opts.margin_min):
-                if audited_feasible(z):
+                witness = prob.pencil.layout.unpack(z[:n])
+                report = audit(prob, witness, margin_min=opts.margin_min)
+                if report.satisfied:
                     early = True
                     break
         if breakdown or early:
@@ -345,8 +342,9 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
     t = float(z[n])
     gap = mu * model.nu
     t_upper = t + gap  # certified at centered points only; diagnostic
-    witness = prob.pencil.layout.unpack(z[:n])
-    report = audit(prob, witness, margin_min=opts.margin_min)
+    if not early:
+        witness = prob.pencil.layout.unpack(z[:n])
+        report = audit(prob, witness, margin_min=opts.margin_min)
     pos = report.positivity_lambda_min
     margin = report.pencil_lambda_max
     diagnostics = {

@@ -141,6 +141,18 @@ class TestAffinePencil:
             AffinePencil(layout=layout, F0=np.zeros((2, 2)),
                          basis=np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (3, 4), (11, 8), (56, 17), (136, 30)])
+    def test_evaluate_coords_matches_tensordot(self, n, m):
+        # the flat matmul is bit-identical to the tensordot formula
+        rng = np.random.default_rng(n * 100 + m)
+        layout = VariableLayout([("X", "mat", (1, n))])
+        pencil = AffinePencil(layout=layout, F0=random_sym(rng, m),
+                              basis=np.array([random_sym(rng, m) for _ in range(n)]))
+        for _ in range(5):
+            x = rng.normal(size=n)
+            oracle = pencil.F0 + np.tensordot(x, pencil.basis, axes=(0, 0))
+            assert np.array_equal(pencil.evaluate_coords(x), 0.5 * (oracle + oracle.T))
+
     def test_evaluate_coords_length_check(self):
         pencil, _ = self.build()
         with pytest.raises(linalg.DimensionError):

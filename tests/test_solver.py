@@ -121,6 +121,20 @@ class TestContract:
         assert res.status != FEASIBLE
 
 
+    def test_early_exit_audits_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return audit(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "audit", counting)
+        res = solve(dt_lip_problem(6, "DT-Lip-synthesis"))
+        assert res.status == FEASIBLE
+        assert res.diagnostics["early_exit"]
+        assert len(calls) == 1
+
+
 class TestStructure:
     def test_unknown_positivity_group(self):
         with pytest.raises(StructuralError):
@@ -232,6 +246,31 @@ def block_slacks(model, z):
     return np.array(out)
 
 
+def count_cholesky(monkeypatch):
+    """Record every np.linalg.cholesky call; returns the record."""
+    cholesky = np.linalg.cholesky
+    calls = []
+
+    def wrapper(s):
+        calls.append(s.shape)
+        return cholesky(s)
+
+    monkeypatch.setattr(np.linalg, "cholesky", wrapper)
+    return calls
+
+
+def dt_lip_problem(n_x, tag):
+    """The solver table's DT-Lip instance at n_x: analyses use K = 0."""
+    sys = random_lure(np.random.default_rng(1000 + n_x), n_x, 2, 2, 2,
+                      "discrete", stable=True)
+    spec = LmiSpec(tag, sys, Lipschitz(0.2, np.eye(2), np.eye(2)), 0.95)
+    if spec.is_analysis:
+        return FeasibilityProblem(
+            spec.build(Gains(np.zeros((2, n_x)), np.zeros((2, 2)))),
+            positivity=(("P", None),))
+    return FeasibilityProblem(spec.build(), positivity=(("W", None),))
+
+
 class TestBarrierModel:
     """The vectorised barrier: step to the boundary and exact derivatives."""
 
@@ -281,13 +320,7 @@ class TestBarrierModel:
 
     def test_one_barrier_per_newton_step(self, monkeypatch):
         # DT-Lip analysis with K = 0 at n_x = 10: infeasible, full barrier path
-        n_x = 10
-        sys = random_lure(np.random.default_rng(1000 + n_x), n_x, 2, 2, 2,
-                          "discrete", stable=True)
-        spec = LmiSpec("DT-Lip-analysis", sys,
-                       Lipschitz(0.2, np.eye(2), np.eye(2)), 0.95)
-        pencil = spec.build(Gains(np.zeros((2, n_x)), np.zeros((2, 2))))
-        prob = FeasibilityProblem(pencil, positivity=(("P", None),))
+        prob = dt_lip_problem(10, "DT-Lip-analysis")
         calls = {"barrier": 0, "phi": 0}
 
         def counting(name):
@@ -305,16 +338,71 @@ class TestBarrierModel:
         assert calls["barrier"] == res.iterations
         assert calls["phi"] <= 2 * res.iterations
 
+    def test_max_step_matches_the_inverse_factor_formula(self):
+        # oracle: 1 / lambda_max(L^{-1} A(dz) L^{-T}) over the LMI blocks,
+        # with the box rate max |dx_i| / slack_i
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            model = _BarrierModel(random_barrier_problem(rng, 50.0))
+            z = interior_point(model, rng)
+            dz = rng.normal(size=model.nz)
+            assert model.barrier(z) is not None
+            dx = dz[:model.n]
+            slack = np.where(dx > 0, model.box - z[:model.n], model.box + z[:model.n])
+            rate = float(np.max(np.abs(dx) / slack))
+            for c, a in model.blocks:
+                linv = np.linalg.inv(np.linalg.cholesky(
+                    -(c + np.tensordot(z, a, axes=(0, 0)))))
+                d = linv @ np.tensordot(dz, a, axes=(0, 0)) @ linv.T
+                rate = max(rate, float(np.linalg.eigvalsh(0.5 * (d + d.T))[-1]))
+            assert model.max_step(dz) == pytest.approx(1.0 / rate, rel=1e-12)
+
+    def test_barrier_reuses_the_factors_of_phi(self, monkeypatch):
+        calls = count_cholesky(monkeypatch)
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            model = _BarrierModel(random_barrier_problem(rng, 50.0))
+            z = interior_point(model, rng)
+            z2 = interior_point(model, rng)
+            assert model.phi(z) is not None
+            calls.clear()
+            assert model.barrier(z) is not None
+            assert calls == []
+            assert model.barrier(z2) is not None
+            assert len(calls) == len(model.blocks)
+
+    def test_one_factorisation_per_point_in_solve(self, monkeypatch):
+        # phi factors each point once; barrier factors again only where no
+        # phi call just found the point inside the domain, which happens
+        # after a line search that accepts no trial
+        prob = dt_lip_problem(10, "DT-Lip-analysis")
+        n_blocks = len(_BarrierModel(prob).blocks)
+        phi, barrier = _BarrierModel.phi, _BarrierModel.barrier
+        state = {"inside": None, "phi": 0, "barrier_elsewhere": 0}
+
+        def counting_phi(self, z):
+            state["phi"] += 1
+            val = phi(self, z)
+            if val is not None:
+                state["inside"] = z.copy()
+            return val
+
+        def counting_barrier(self, z):
+            if state["inside"] is None or not np.array_equal(z, state["inside"]):
+                state["barrier_elsewhere"] += 1
+            return barrier(self, z)
+
+        monkeypatch.setattr(solver._BarrierModel, "phi", counting_phi)
+        monkeypatch.setattr(solver._BarrierModel, "barrier", counting_barrier)
+        calls = count_cholesky(monkeypatch)
+        res = solve(prob)
+        assert res.status == INFEASIBLE
+        assert len(calls) <= (state["phi"] + state["barrier_elsewhere"]) * n_blocks
+
     def test_infeasible_stops_before_the_gap_tolerance(self):
         # the same analysis is decided at a centered point whose bound
         # t + mu * nu is below margin_min, long before mu * nu <= GAP_TOL
-        n_x = 10
-        sys = random_lure(np.random.default_rng(1000 + n_x), n_x, 2, 2, 2,
-                          "discrete", stable=True)
-        spec = LmiSpec("DT-Lip-analysis", sys,
-                       Lipschitz(0.2, np.eye(2), np.eye(2)), 0.95)
-        pencil = spec.build(Gains(np.zeros((2, n_x)), np.zeros((2, 2))))
-        prob = FeasibilityProblem(pencil, positivity=(("P", None),))
+        prob = dt_lip_problem(10, "DT-Lip-analysis")
         res = solve(prob)
         assert res.status == INFEASIBLE
         assert res.diagnostics["t_upper_bound"] < SolveOptions().margin_min
