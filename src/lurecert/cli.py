@@ -55,7 +55,6 @@ def _solve_options(problem, args) -> SolveOptions:
     opts = dict(problem.solver_options)
     if args.margin_min is not None:
         opts["margin_min"] = args.margin_min
-    opts.setdefault("seed", _default_seed(args))
     return SolveOptions(**opts)
 
 
@@ -326,6 +325,10 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
+    except linalg.NumericError as exc:
+        # numerical trouble decides nothing
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNDETERMINED
     except (MemoryError, OSError, ValueError) as exc:
         # ProblemFileError, UsageError, PreconditionError, DimensionError, a
         # simulation grid too large to allocate, ...

@@ -161,8 +161,10 @@ def pencil_from_function(
     unit coordinate, and returns the stack of their matrices.
     """
     n = layout.size
-    f = np.asarray(block_fn(layout.unpack(np.vstack([np.zeros(n), np.eye(n)]))),
-                   dtype=float)
+    # an overflow leaves non-finite entries, which AffinePencil reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.asarray(block_fn(layout.unpack(np.vstack([np.zeros(n), np.eye(n)]))),
+                       dtype=float)
     if f.ndim != 3 or f.shape[0] != n + 1:
         raise linalg.DimensionError(
             f"block function returned shape {f.shape} for {n + 1} stacked "

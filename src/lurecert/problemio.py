@@ -78,7 +78,6 @@ PROBLEM_SCHEMA = {
             "properties": {
                 "margin_min": {"type": "number"},
                 "max_iter": {"type": "integer"},
-                "seed": {"type": "integer"},
             },
         },
         "simulation": {

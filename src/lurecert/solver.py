@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .pencil import AffinePencil, SYM
+from .pencil import AffinePencil, SYM, pencil_from_function
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible-certified-numerically"
@@ -81,19 +81,18 @@ class SolveOptions:
 
     margin_min: the pencil margin -lambda_max(F) a "feasible" witness must
     reach; finite and positive, so that "feasible" always means F < 0.
-    seed is inert: the solver is deterministic and only echoes it into
-    FeasibilityResult.diagnostics.  It stays because the problem schema
-    accepts ``solver.seed``.
+    max_iter: the most Newton steps; at least 1.
     """
 
     margin_min: float = 1e-9
     max_iter: int = 500
-    seed: int = 0
 
     def __post_init__(self):
         if not (np.isfinite(self.margin_min) and self.margin_min > 0):
             raise ValueError(
                 f"margin_min must be finite and positive, got {self.margin_min!r}")
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -136,12 +135,25 @@ def audit(prob: FeasibilityProblem, witness: dict,
                         satisfied=ok)
 
 
+@dataclass(frozen=True)
+class _Point:
+    """A point z strictly inside the barrier's domain: the barrier value,
+    the box slacks (box - x, box + x) and one Cholesky factor L of each
+    LMI block S_b(z) = L L^T."""
+
+    z: np.ndarray
+    phi: float
+    slacks: tuple
+    chols: list
+
+
 class _BarrierModel:
     """Log-det barrier over z = (x, t), x in the pencil's coordinates.
 
     LMI blocks S_b(z) = -(C_b + sum_i z_i A_b[i]) > 0 (the pencil with the
     margin t, then the positivity groups), and the coordinate box as the
-    slacks box - x > 0 and box + x > 0.
+    slacks box - x > 0 and box + x > 0.  Nothing changes after __init__:
+    what a point's derivatives and steps need travels in its _Point.
     """
 
     def __init__(self, prob: FeasibilityProblem):
@@ -150,10 +162,12 @@ class _BarrierModel:
         self.nz = n + 1
         self.box = prob.box
 
-        # LMI blocks: (constant, coefficient stack over z).
+        def block(pencil, t_coef):
+            # (constant, coefficient stack over z)
+            return pencil.F0, np.concatenate([pencil.basis, t_coef[None]])
+
         m = prob.pencil.dim
-        blocks = [(prob.pencil.F0,
-                   np.concatenate([prob.pencil.basis, np.eye(m)[None]]))]
+        self.blocks = [block(prob.pencil, np.eye(m))]
 
         # positivity: eps I - G(x) <= 0.  Each group starts at v I with v
         # strictly inside (eps, box): 1 for the default eps and a box >= 2;
@@ -162,94 +176,66 @@ class _BarrierModel:
         for g, eps in prob.positivity:
             grp = layout.groups[g]
             dim = grp.shape[0]
+            pos = pencil_from_function(layout, lambda v: eps * np.eye(dim) - v[g])
+            self.blocks.append(block(pos, np.zeros((dim, dim))))
             i, j = np.triu_indices(dim)
-            k = grp.offset + np.arange(i.size)
-            a = np.zeros((self.nz, dim, dim))
-            a[k, i, j] = -1.0
-            a[k, j, i] = -1.0
-            blocks.append((eps * np.eye(dim), a))
-            x0[k[i == j]] = min(max(1.0, 2 * eps), (eps + prob.box) / 2)
-
-        self.blocks = blocks
-        # whitened coefficients Y = L^{-1} A L^{-T} and the box slacks at
-        # the last barrier() point, for max_step()
-        self._y = [np.empty_like(a) for _, a in blocks]
-        self._slacks = None
-        # (z, phi, slacks, Cholesky factors) of the last point phi() found
-        # inside the domain, which barrier() reuses at that point
-        self._inside = None
+            x0[grp.offset + np.flatnonzero(i == j)] = min(max(1.0, 2 * eps), (eps + prob.box) / 2)
 
         # start just inside the pencil block: t below -lambda_max(F(x0))
         lmax = float(np.linalg.eigvalsh(prob.pencil.evaluate_coords(x0))[-1])
         self.z0 = np.append(x0, -(lmax + 1.0 + 0.1 * max(1.0, abs(lmax))))
 
-        self.nu = sum(c.shape[0] for c, _ in blocks) + 2 * n
+        self.nu = sum(c.shape[0] for c, _ in self.blocks) + 2 * n
 
-    def _box_slacks(self, z):
-        """(box - x, box + x), or None if x is not strictly inside the box."""
+    def point(self, z: np.ndarray):
+        """The _Point at z, or None outside the domain: one Cholesky
+        factorisation per LMI block."""
         x = z[:self.n]
         hi, lo = self.box - x, self.box + x
         if not (np.all(hi > 0) and np.all(lo > 0)):
             return None
-        return hi, lo
-
-    def _chol(self, c, a, z):
-        s = -(c + (z @ a.reshape(z.size, -1)).reshape(c.shape))
-        try:
-            return np.linalg.cholesky(0.5 * (s + s.T))
-        except np.linalg.LinAlgError:
-            return None
-
-    def phi(self, z: np.ndarray):
-        """Barrier value at z, or None outside the domain: one Cholesky
-        factorisation per LMI block, kept for barrier() at z."""
-        slacks = self._box_slacks(z)
-        if slacks is None:
-            return None
-        val = -float(np.sum(np.log(slacks[0])) + np.sum(np.log(slacks[1])))
+        phi = -float(np.sum(np.log(hi)) + np.sum(np.log(lo)))
         chols = []
         for c, a in self.blocks:
-            chol = self._chol(c, a, z)
-            if chol is None:
+            s = -(c + (z @ a.reshape(z.size, -1)).reshape(c.shape))
+            try:
+                chol = np.linalg.cholesky(0.5 * (s + s.T))
+            except np.linalg.LinAlgError:
                 return None
-            val -= 2.0 * float(np.sum(np.log(np.diag(chol))))
+            phi -= 2.0 * float(np.sum(np.log(np.diag(chol))))
             chols.append(chol)
-        self._inside = (z.copy(), val, slacks, chols)
-        return val
+        return _Point(z, phi, (hi, lo), chols)
 
-    def barrier(self, z: np.ndarray):
-        """phi, gradient, Hessian of the log-det barrier at z; None if
-        outside the domain.  Factors only if z is not the last point phi()
-        found inside the domain, and keeps what max_step() needs at z."""
-        if self._inside is None or not np.array_equal(z, self._inside[0]):
-            if self.phi(z) is None:
-                return None
-        _, phi, slacks, chols = self._inside
-        hi, lo = slacks
+    def derivatives(self, pt: _Point):
+        """Gradient, Hessian and whitened stacks Y_b = L^{-1} A_b L^{-T} of
+        the barrier at pt, from its factors; LinAlgError if one has no
+        finite inverse."""
+        hi, lo = pt.slacks
         g = np.zeros(self.nz)
         g[:self.n] = 1.0 / hi - 1.0 / lo
         h = np.zeros((self.nz, self.nz))
         h[np.diag_indices(self.n)] = 1.0 / hi ** 2 + 1.0 / lo ** 2
-        for (c, a), chol, y in zip(self.blocks, chols, self._y):
+        ys = []
+        for (c, a), chol in zip(self.blocks, pt.chols):
             linv = np.linalg.inv(chol)
             if not np.all(np.isfinite(linv)):
-                return None
+                raise np.linalg.LinAlgError("a Cholesky factor has no finite inverse")
             m = c.shape[0]
-            np.matmul(linv, (a.reshape(-1, m) @ linv.T).reshape(y.shape), out=y)
+            y = linv @ (a.reshape(-1, m) @ linv.T).reshape(a.shape)
             g += np.trace(y, axis1=1, axis2=2)
             yf = y.reshape(self.nz, m * m)
             h += yf @ yf.T
-        self._slacks = slacks
-        return phi, g, h
+            ys.append(y)
+        return g, h, ys
 
-    def max_step(self, dz: np.ndarray) -> float:
-        """Largest alpha with z + alpha dz on the closure of the domain,
-        z being the point of the last barrier() call."""
+    def max_step(self, pt: _Point, ys: list, dz: np.ndarray) -> float:
+        """Largest alpha with pt.z + alpha dz on the closure of the domain;
+        ys are the whitened stacks at pt."""
         # each part of the domain stops the step at alpha = 1 / its rate
         dx = dz[:self.n]
-        hi, lo = self._slacks
+        hi, lo = pt.slacks
         rate = float(np.max(np.abs(dx) / np.where(dx > 0, hi, lo), initial=0.0))
-        for y in self._y:
+        for y in ys:
             # S(z + alpha dz) = L (I - alpha sum_i dz_i Y_i) L^T
             d = (dz @ y.reshape(dz.size, -1)).reshape(y.shape[1:])
             rate = max(rate, float(np.linalg.eigvalsh(0.5 * (d + d.T))[-1]))
@@ -260,16 +246,18 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
     """Decide feasibility of F(x) <= 0 under the problem's side conditions.
 
     Deterministic given (problem, options).  Feasible results always pass
-    the independent eigenvalue audit; numerical breakdown yields
-    "undetermined", never a false "feasible".
+    the independent eigenvalue audit; "infeasible" comes only from the
+    bound t + mu * nu at a centered point; numerical breakdown and a run cut
+    by max_iter yield "undetermined", never a false "feasible".
     """
     model = _BarrierModel(prob)
     n = model.n
-    z = model.z0
-    if model.phi(z) is None:
+    unpack = prob.pencil.layout.unpack
+    pt = model.point(model.z0)
+    if pt is None:
         # the start is strictly inside unless round-off closes (eps, box)
         return FeasibilityResult(
-            status=UNDETERMINED, witness=prob.pencil.layout.unpack(z[:n]),
+            status=UNDETERMINED, witness=unpack(model.z0[:n]),
             margin=float("nan"), positivity_margins={}, iterations=0,
             diagnostics={"reason": "no strictly feasible starting point"},
         )
@@ -277,91 +265,77 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
     c_obj = np.zeros(model.nz)
     c_obj[n] = -1.0  # maximize t
 
-    mu = max(1.0, abs(z[n]))
-    total_newton = 0
-    breakdown = False
-    early = False
-
-    while total_newton < opts.max_iter:
-        # center at current mu
-        centered = False
-        for _ in range(80):
-            if total_newton >= opts.max_iter:
-                break
-            bar = model.barrier(z)
-            if bar is None:
-                breakdown = True
-                break
-            phi, g_phi, h_phi = bar
+    mu = max(1.0, abs(pt.z[n]))
+    iterations = 0
+    status = reason = None
+    while iterations < opts.max_iter:
+        try:
+            g_phi, h_phi, ys = model.derivatives(pt)
             grad = c_obj / mu + g_phi
             h_phi.flat[::model.nz + 1] += 1e-12
-            try:
-                step = np.linalg.solve(h_phi, -grad)
-            except np.linalg.LinAlgError:
-                breakdown = True
-                break
-            decrement2 = float(-grad @ step)
-            total_newton += 1
-            if decrement2 <= 0 or decrement2 / 2.0 <= NEWTON_TOL:
-                centered = True
-                break
+            step = np.linalg.solve(h_phi, -grad)
+        except np.linalg.LinAlgError as exc:
+            reason = f"numerical breakdown in a Newton step: {exc}"
+            break
+        decrement2 = float(-grad @ step)
+        iterations += 1
+        centered = decrement2 <= 0 or decrement2 / 2.0 <= NEWTON_TOL
+        if not centered:
             # backtracking line search on f = c.z/mu + phi, from a fraction
-            # of the step to the boundary; trials evaluate phi only.  Below
-            # 2^-30 of that step an accepted step would be round-off.
-            f0 = float(c_obj @ z) / mu + phi
-            alpha = min(1.0, 0.99 * model.max_step(step))
-            accepted = False
+            # of the step to the boundary.  Below 2^-30 of that step an
+            # accepted step would be round-off.
+            f0 = float(c_obj @ pt.z) / mu + pt.phi
+            alpha = min(1.0, 0.99 * model.max_step(pt, ys, step))
             for _ in range(30):
-                zn = z + alpha * step
-                pn = model.phi(zn)
-                if pn is not None and (float(c_obj @ zn) / mu + pn
-                                       <= f0 - 1e-4 * alpha * decrement2):
-                    z = zn
-                    accepted = True
+                trial = model.point(pt.z + alpha * step)
+                if trial is not None and (float(c_obj @ trial.z) / mu + trial.phi
+                                          <= f0 - 1e-4 * alpha * decrement2):
                     break
                 alpha *= 0.5
-            if not accepted:
-                break
-            if z[n] >= max(MARGIN_STOP, 10 * opts.margin_min):
-                witness = prob.pencil.layout.unpack(z[:n])
-                report = audit(prob, witness, margin_min=opts.margin_min)
-                if report.satisfied:
-                    early = True
-                    break
-        if breakdown or early:
-            break
+            else:
+                trial = None
+            if trial is not None:
+                pt = trial
+                if pt.z[n] >= max(MARGIN_STOP, 10 * opts.margin_min):
+                    witness = unpack(pt.z[:n])
+                    report = audit(prob, witness, margin_min=opts.margin_min)
+                    if report.satisfied:
+                        status = FEASIBLE
+                        break
+                continue
+        # centered, or a line search that accepted no trial: shrink mu
         gap = mu * model.nu
         # at a centered point the best margin is at most t + gap, so a
-        # bound below margin_min already decides "infeasible"
-        if centered and z[n] + gap < opts.margin_min:
+        # bound below margin_min decides "infeasible"
+        if centered and pt.z[n] + gap < opts.margin_min:
+            status = INFEASIBLE
             break
-        if gap <= GAP_TOL * max(1.0, abs(z[n])):
+        if gap <= GAP_TOL * max(1.0, abs(pt.z[n])):
+            reason = "the barrier path converged with no witness of margin_min"
             break
         mu *= MU_FACTOR
+    else:
+        reason = (f"iteration limit: max_iter = {opts.max_iter} Newton steps "
+                  "ended before a centered bound")
 
-    t = float(z[n])
-    gap = mu * model.nu
-    t_upper = t + gap  # certified at centered points only; diagnostic
+    t = float(pt.z[n])
+    early = status == FEASIBLE
     if not early:
-        witness = prob.pencil.layout.unpack(z[:n])
+        witness = unpack(pt.z[:n])
         report = audit(prob, witness, margin_min=opts.margin_min)
-    pos = report.positivity_lambda_min
     margin = report.pencil_lambda_max
     diagnostics = {
         "t": t,
-        "t_upper_bound": t_upper,
+        # certified at centered points only
+        "t_upper_bound": t + mu * model.nu,
         "barrier_mu": mu,
-        "seed": opts.seed,
-        "newton_iterations": total_newton,
-        "breakdown": breakdown,
         "early_exit": early,
     }
     if report.satisfied:
         status = FEASIBLE
-    elif not breakdown and t_upper < opts.margin_min:
-        status = INFEASIBLE
-    else:
+    elif status != INFEASIBLE:
         status = UNDETERMINED
+        diagnostics["reason"] = reason
         if abs(margin) <= 10 * opts.margin_min:
             diagnostics["warning"] = (
                 "margin is approximately zero; instance is at the "
@@ -369,6 +343,6 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
             )
     return FeasibilityResult(
         status=status, witness=witness, margin=margin,
-        positivity_margins=pos, iterations=total_newton,
+        positivity_margins=report.positivity_lambda_min, iterations=iterations,
         diagnostics=diagnostics,
     )

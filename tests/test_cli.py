@@ -53,6 +53,26 @@ SCALAR_INFEASIBLE = {
     "gains": {"K": [[0.0]], "K_psi": [[0.0]]},
 }
 
+# a feasible DT-Lipschitz analysis: the full solve takes 17 Newton steps
+DIAGONAL_DT = {
+    "schema_version": 1,
+    "system": {
+        "A": [[0.5, 0.0], [0.0, 0.5]],
+        "B": [[1.0], [0.0]],
+        "B_psi": [[0.0], [1.0]],
+        "C": [[1.0, 0.0]],
+        "domain": "discrete",
+    },
+    "nonlinearity": {
+        "variant": "lipschitz",
+        "rho": 0.2,
+        "theta_y": [[1.0]],
+        "theta_psi": [[1.0]],
+    },
+    "eta": 0.9,
+    "gains": {"K": [[0.0, 0.0]], "K_psi": [[0.0]]},
+}
+
 
 def write_problem(tmp_path, doc, name="problem.json"):
     path = tmp_path / name
@@ -419,6 +439,14 @@ class TestExitCodes:
         (["simulate", "{ct}", "--t-end", "1e14"], 1, "Unable to allocate"),
         # a CT grid shorter than half a step has no steps
         (["simulate", "{ct}", "--t-end", "1e-4"], 1, "t_end = 0.0001 is less than half of dt"),
+        # a feasible analysis cut short before a centered bound decides nothing
+        (["analyze", "{truncated}"], 3, ""),
+        (["analyze", "{no_steps}"], 1, "max_iter must be at least 1, got 0"),
+        (["analyze", "{negative_steps}"], 1, "max_iter must be at least 1, got -5"),
+        # an overflowing pencil is numerical trouble, not a traceback
+        (["analyze", "{huge}"], 3, "error: pencil basis contains non-finite entries"),
+        (["simulate", "{huge}", "--steps", "5"], 3,
+         "error: pencil basis contains non-finite entries"),
     ])
     def test_exit_code(self, tmp_path, capsys, argv, code, err):
         files = {
@@ -432,6 +460,11 @@ class TestExitCodes:
             "diverging": json.dumps(DIVERGING_DT),
             "ct": json.dumps(dict(SCALAR_INFEASIBLE, system=dict(
                 SCALAR_INFEASIBLE["system"], A=[[-1.0]]))),
+            "truncated": json.dumps(dict(DIAGONAL_DT, solver={"max_iter": 3})),
+            "no_steps": json.dumps(dict(DIAGONAL_DT, solver={"max_iter": 0})),
+            "negative_steps": json.dumps(dict(DIAGONAL_DT, solver={"max_iter": -5})),
+            "huge": json.dumps(dict(DIAGONAL_DT, system=dict(
+                DIAGONAL_DT["system"], A=[[1e200, 0.0], [0.0, 0.5]]))),
         }
         paths = {}
         for name, text in files.items():

@@ -134,6 +134,16 @@ class TestContract:
         assert res.diagnostics["early_exit"]
         assert len(calls) == 1
 
+    def test_truncated_run_is_undetermined(self):
+        # the bound t + mu * nu decides "infeasible" only at a centered
+        # point; this synthesis is feasible, and 8 steps end mid-centering
+        prob = dt_lip_problem(2, "DT-Lip-synthesis", seed=1020)
+        assert solve(prob).status == FEASIBLE
+        res = solve(prob, SolveOptions(max_iter=8))
+        assert res.status == UNDETERMINED
+        assert res.iterations == 8
+        assert "max_iter = 8" in res.diagnostics["reason"]
+
 
 class TestStructure:
     def test_unknown_positivity_group(self):
@@ -233,9 +243,9 @@ def random_barrier_problem(rng, box):
 def interior_point(model, rng):
     """The solver's starting point, moved a little inside the domain."""
     while True:
-        zr = model.z0 + 0.1 * rng.normal(size=model.nz)
-        if model.phi(zr) is not None:
-            return zr
+        pt = model.point(model.z0 + 0.1 * rng.normal(size=model.nz))
+        if pt is not None:
+            return pt
 
 
 def block_slacks(model, z):
@@ -259,10 +269,11 @@ def count_cholesky(monkeypatch):
     return calls
 
 
-def dt_lip_problem(n_x, tag):
-    """The solver table's DT-Lip instance at n_x: analyses use K = 0."""
-    sys = random_lure(np.random.default_rng(1000 + n_x), n_x, 2, 2, 2,
-                      "discrete", stable=True)
+def dt_lip_problem(n_x, tag, seed=None):
+    """The solver table's DT-Lip instance at n_x, its plant drawn from
+    default_rng(seed), 1000 + n_x unless given: analyses use K = 0."""
+    sys = random_lure(np.random.default_rng(1000 + n_x if seed is None else seed),
+                      n_x, 2, 2, 2, "discrete", stable=True)
     spec = LmiSpec(tag, sys, Lipschitz(0.2, np.eye(2), np.eye(2)), 0.95)
     if spec.is_analysis:
         return FeasibilityProblem(
@@ -280,21 +291,21 @@ class TestBarrierModel:
         for _ in range(20):
             prob = random_barrier_problem(rng, 50.0)
             model = _BarrierModel(prob)
-            z = interior_point(model, rng)
+            pt = interior_point(model, rng)
+            _, _, ys = model.derivatives(pt)
             # a random direction, and one that moves only Z and lowers t, so
             # that only the box can stop it
             box_dz = np.zeros(model.nz)
             box_dz[prob.pencil.layout.group_slice("Z")] = rng.normal(size=2)
             box_dz[model.n] = -100.0
             for dz in (rng.normal(size=model.nz), box_dz):
-                assert model.barrier(z) is not None
-                alpha = model.max_step(dz)
+                alpha = model.max_step(pt, ys, dz)
                 assert 0 < alpha < np.inf
-                scale = np.maximum(1.0, np.abs(block_slacks(model, z)))
-                at_bound = block_slacks(model, z + alpha * dz) / scale
+                scale = np.maximum(1.0, np.abs(block_slacks(model, pt.z)))
+                at_bound = block_slacks(model, pt.z + alpha * dz) / scale
                 assert at_bound.min() <= 1e-8
-                assert np.all(block_slacks(model, z + 0.99 * alpha * dz) > 0)
-                assert model.phi(z + 0.99 * alpha * dz) is not None
+                assert np.all(block_slacks(model, pt.z + 0.99 * alpha * dz) > 0)
+                assert model.point(pt.z + 0.99 * alpha * dz) is not None
                 binding.append(int(np.argmin(at_bound)))
         # the pencil, the positivity block and the box each bound some step
         assert set(binding) == {0, 1, 2}
@@ -304,39 +315,48 @@ class TestBarrierModel:
         h = 1e-4
         for _ in range(10):
             model = _BarrierModel(random_barrier_problem(rng, 5.0))
-            z = interior_point(model, rng)
-            phi, grad, hess = model.barrier(z)
-            assert phi == pytest.approx(model.phi(z), rel=1e-12)
+            pt = interior_point(model, rng)
+            z = pt.z
+            grad, hess, _ = model.derivatives(pt)
+            # oracle: -sum log(box -+ x) - sum_b log det S_b(z), by eigenvalues
+            oracle = -float(np.sum(np.log(model.box - z[:model.n]))
+                            + np.sum(np.log(model.box + z[:model.n])))
+            for c, a in model.blocks:
+                s = -(c + np.tensordot(z, a, axes=(0, 0)))
+                oracle -= float(np.sum(np.log(np.linalg.eigvalsh(s))))
+            assert pt.phi == pytest.approx(oracle, rel=1e-12)
+
+            def phi(zz):
+                return model.point(zz).phi
             eye = np.eye(model.nz) * h
-            fd_grad = np.array([(model.phi(z + e) - model.phi(z - e)) / (2 * h)
-                                for e in eye])
-            fd_hess = np.array([[(model.phi(z + ei + ej) - model.phi(z + ei - ej)
-                                  - model.phi(z - ei + ej) + model.phi(z - ei - ej))
+            fd_grad = np.array([(phi(z + e) - phi(z - e)) / (2 * h) for e in eye])
+            fd_hess = np.array([[(phi(z + ei + ej) - phi(z + ei - ej)
+                                  - phi(z - ei + ej) + phi(z - ei - ej))
                                  / (4 * h * h) for ej in eye] for ei in eye])
             assert np.allclose(grad, fd_grad, rtol=1e-6,
                                atol=1e-6 * np.abs(grad).max())
             assert np.allclose(hess, fd_hess, rtol=1e-4,
                                atol=1e-4 * np.abs(hess).max())
 
-    def test_one_barrier_per_newton_step(self, monkeypatch):
+    def test_one_derivatives_call_per_newton_step(self, monkeypatch):
         # DT-Lip analysis with K = 0 at n_x = 10: infeasible, full barrier path
         prob = dt_lip_problem(10, "DT-Lip-analysis")
-        calls = {"barrier": 0, "phi": 0}
+        calls = {"derivatives": 0, "point": 0}
 
         def counting(name):
             method = getattr(_BarrierModel, name)
 
-            def wrapper(self, z):
+            def wrapper(self, arg):
                 calls[name] += 1
-                return method(self, z)
+                return method(self, arg)
             return wrapper
 
         for name in calls:
             monkeypatch.setattr(solver._BarrierModel, name, counting(name))
         res = solve(prob)
         assert res.status == INFEASIBLE
-        assert calls["barrier"] == res.iterations
-        assert calls["phi"] <= 2 * res.iterations
+        assert calls["derivatives"] == res.iterations
+        assert calls["point"] <= 2 * res.iterations
 
     def test_max_step_matches_the_inverse_factor_formula(self):
         # oracle: 1 / lambda_max(L^{-1} A(dz) L^{-T}) over the LMI blocks,
@@ -344,9 +364,10 @@ class TestBarrierModel:
         rng = np.random.default_rng(14)
         for _ in range(20):
             model = _BarrierModel(random_barrier_problem(rng, 50.0))
-            z = interior_point(model, rng)
+            pt = interior_point(model, rng)
+            z = pt.z
             dz = rng.normal(size=model.nz)
-            assert model.barrier(z) is not None
+            _, _, ys = model.derivatives(pt)
             dx = dz[:model.n]
             slack = np.where(dx > 0, model.box - z[:model.n], model.box + z[:model.n])
             rate = float(np.max(np.abs(dx) / slack))
@@ -355,49 +376,33 @@ class TestBarrierModel:
                     -(c + np.tensordot(z, a, axes=(0, 0)))))
                 d = linv @ np.tensordot(dz, a, axes=(0, 0)) @ linv.T
                 rate = max(rate, float(np.linalg.eigvalsh(0.5 * (d + d.T))[-1]))
-            assert model.max_step(dz) == pytest.approx(1.0 / rate, rel=1e-12)
-
-    def test_barrier_reuses_the_factors_of_phi(self, monkeypatch):
-        calls = count_cholesky(monkeypatch)
-        rng = np.random.default_rng(15)
-        for _ in range(10):
-            model = _BarrierModel(random_barrier_problem(rng, 50.0))
-            z = interior_point(model, rng)
-            z2 = interior_point(model, rng)
-            assert model.phi(z) is not None
-            calls.clear()
-            assert model.barrier(z) is not None
-            assert calls == []
-            assert model.barrier(z2) is not None
-            assert len(calls) == len(model.blocks)
+            assert model.max_step(pt, ys, dz) == pytest.approx(1.0 / rate, rel=1e-12)
 
     def test_one_factorisation_per_point_in_solve(self, monkeypatch):
-        # phi factors each point once; barrier factors again only where no
-        # phi call just found the point inside the domain, which happens
-        # after a line search that accepts no trial
+        # every Cholesky factor comes from point(), one per LMI block, and
+        # derivatives() reads the factors of its point
         prob = dt_lip_problem(10, "DT-Lip-analysis")
         n_blocks = len(_BarrierModel(prob).blocks)
-        phi, barrier = _BarrierModel.phi, _BarrierModel.barrier
-        state = {"inside": None, "phi": 0, "barrier_elsewhere": 0}
-
-        def counting_phi(self, z):
-            state["phi"] += 1
-            val = phi(self, z)
-            if val is not None:
-                state["inside"] = z.copy()
-            return val
-
-        def counting_barrier(self, z):
-            if state["inside"] is None or not np.array_equal(z, state["inside"]):
-                state["barrier_elsewhere"] += 1
-            return barrier(self, z)
-
-        monkeypatch.setattr(solver._BarrierModel, "phi", counting_phi)
-        monkeypatch.setattr(solver._BarrierModel, "barrier", counting_barrier)
+        point, derivatives = _BarrierModel.point, _BarrierModel.derivatives
         calls = count_cholesky(monkeypatch)
+        counts = {"point": 0, "in_derivatives": 0}
+
+        def counting_point(self, z):
+            counts["point"] += 1
+            return point(self, z)
+
+        def counting_derivatives(self, pt):
+            before = len(calls)
+            out = derivatives(self, pt)
+            counts["in_derivatives"] += len(calls) - before
+            return out
+
+        monkeypatch.setattr(solver._BarrierModel, "point", counting_point)
+        monkeypatch.setattr(solver._BarrierModel, "derivatives", counting_derivatives)
         res = solve(prob)
         assert res.status == INFEASIBLE
-        assert len(calls) <= (state["phi"] + state["barrier_elsewhere"]) * n_blocks
+        assert len(calls) == n_blocks * counts["point"]
+        assert counts["in_derivatives"] == 0
 
     def test_infeasible_stops_before_the_gap_tolerance(self):
         # the same analysis is decided at a centered point whose bound
