@@ -19,6 +19,10 @@ from .model import ClosedLoop, CONTINUOUS, DISCRETE, Gains, LureSystem, Nonlinea
 # Ratio denominators below this multiple of the initial distance are
 # treated as degenerate and excluded.
 DEGENERACY_FACTOR = 1e-12
+# ... and so are those below this multiple of eps times the largest state
+# P-norm: one rounding unit of the states moves a ratio over such a distance
+# by more than about 1e-7 relative, so the dynamics no longer set it.
+ROUNDING_FACTOR = 1e7
 
 
 class DivergenceError(RuntimeError):
@@ -136,7 +140,8 @@ class RateReport:
 
 
 def rate_estimate(traj1: Trajectory, traj2: Trajectory, p) -> RateReport:
-    """Measure per-step contraction of the pair (traj1, traj2) under ||.||_P."""
+    """Measure per-step contraction of the pair (traj1, traj2) under ||.||_P,
+    leaving out steps whose distance is at the degeneracy or rounding floor."""
     p = linalg.as_sym(p, "P")
     ok, _ = linalg.is_pd(p)
     if not ok:
@@ -148,7 +153,10 @@ def rate_estimate(traj1: Trajectory, traj2: Trajectory, p) -> RateReport:
     dists = np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", diffs, p, diffs), 0.0))
     if dists[0] == 0.0:
         raise ValueError("initial states coincide; contraction ratio undefined")
-    thresh = DEGENERACY_FACTOR * dists[0]
+    norm2 = max(float(np.max(np.einsum("ki,ki->k", t.states @ p, t.states)))
+                for t in (traj1, traj2))
+    thresh = max(DEGENERACY_FACTOR * dists[0],
+                 ROUNDING_FACTOR * np.finfo(float).eps * np.sqrt(norm2))
     valid = dists[:-1] > thresh
     if not np.any(valid):
         raise ValueError("all steps are degenerate; no ratios defined")

@@ -5,6 +5,16 @@ on designated variable groups (G(x) >= eps I), and a coordinate box that
 keeps the search compact.  It is a log-det barrier path-following method
 with damped Newton centering, in the pencil's own coordinates.
 
+Each Newton step searches its ray exactly.  The eigenvalues delta of the
+whitened direction in each LMI block, joined with the box ratios, give the
+barrier along the ray as phi - sum log(1 - alpha delta), so the centering
+objective's minimiser on the ray is found without a factorisation, and
+backtracking from it only guards against round-off (Boyd & Vandenberghe
+2004, 9.2 and 11.3; Vandenberghe & Boyd 1996).  The margin t is linear
+along the ray, so when t at 0.99 of the way to the domain's edge reaches
+the stopping margin, that one point is factored and audited as the
+witness; a failed audit continues from the minimiser.
+
 Every "feasible" verdict is re-checked by an independent eigenvalue audit
 that only uses the pencil and linalg, never the solver's internal state.
 """
@@ -228,18 +238,44 @@ class _BarrierModel:
             ys.append(y)
         return g, h, ys
 
-    def max_step(self, pt: _Point, ys: list, dz: np.ndarray) -> float:
-        """Largest alpha with pt.z + alpha dz on the closure of the domain;
-        ys are the whitened stacks at pt."""
-        # each part of the domain stops the step at alpha = 1 / its rate
+    def ray_rates(self, pt: _Point, ys: list, dz: np.ndarray) -> np.ndarray:
+        """The rates delta of the ray pt.z + alpha dz, ys the whitened stacks
+        at pt: the box ratios dx / hi and -dx / lo, then the eigenvalues of
+        each block's D = sum_i dz_i Y_i, as S(z + alpha dz) = L (I - alpha D) L^T.
+        Along the ray the barrier is pt.phi - sum log(1 - alpha delta), up to
+        the domain's end at alpha = 1 / max(delta)."""
         dx = dz[:self.n]
         hi, lo = pt.slacks
-        rate = float(np.max(np.abs(dx) / np.where(dx > 0, hi, lo), initial=0.0))
+        rates = [dx / hi, -dx / lo]
         for y in ys:
-            # S(z + alpha dz) = L (I - alpha sum_i dz_i Y_i) L^T
             d = (dz @ y.reshape(dz.size, -1)).reshape(y.shape[1:])
-            rate = max(rate, float(np.linalg.eigvalsh(0.5 * (d + d.T))[-1]))
-        return 1.0 / rate if rate > 0 else np.inf
+            rates.append(np.linalg.eigvalsh(0.5 * (d + d.T)))
+        return np.concatenate(rates)
+
+
+def _ray_minimum(slope: float, delta: np.ndarray, top: float) -> float:
+    """The alpha in (0, 1 / top) that minimises f(alpha) = alpha * slope
+    - sum log(1 - alpha delta) on a descent ray, top = max(delta) > 0.
+
+    f' rises from f'(0) < 0 to +inf at 1 / top.  Bracketed Newton on f',
+    from the Newton step alpha = 1 to a 1-D decrement f'^2 / f'' of 1e-3;
+    an iterate outside the bracket is replaced by its midpoint."""
+    lo = 0.0
+    hi = 1.0 / top
+    alpha = min(1.0, 0.5 * hi)
+    for _ in range(30):
+        q = delta / (1.0 - alpha * delta)
+        df, d2f = slope + float(np.sum(q)), float(q @ q)
+        if df * df < 1e-3 * d2f:
+            break
+        if df < 0:
+            lo = alpha
+        else:
+            hi = alpha
+        alpha -= df / d2f
+        if not lo < alpha < hi:
+            alpha = 0.5 * (lo + hi)
+    return alpha
 
 
 def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> FeasibilityResult:
@@ -266,6 +302,7 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
     c_obj[n] = -1.0  # maximize t
 
     mu = max(1.0, abs(pt.z[n]))
+    stop = max(MARGIN_STOP, 10 * opts.margin_min)
     iterations = 0
     status = reason = None
     while iterations < opts.max_iter:
@@ -281,11 +318,29 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
         iterations += 1
         centered = decrement2 <= 0 or decrement2 / 2.0 <= NEWTON_TOL
         if not centered:
-            # backtracking line search on f = c.z/mu + phi, from a fraction
-            # of the step to the boundary.  Below 2^-30 of that step an
-            # accepted step would be round-off.
+            delta = model.ray_rates(pt, ys, step)
+            top = float(np.max(delta))
+            if not 0 < top < np.inf:
+                # the box bounds every ray that moves x, and t alone only
+                # rises into the pencil block
+                reason = ("numerical breakdown in a Newton step: no finite "
+                          "positive rate ends the ray in the domain")
+                break
+            # t is linear along the ray: try its far end as the witness
+            edge = 0.99 / top
+            if pt.z[n] + edge * step[n] >= stop:
+                trial = model.point(pt.z + edge * step)
+                if trial is not None:
+                    witness = unpack(trial.z[:n])
+                    report = audit(prob, witness, margin_min=opts.margin_min)
+                    if report.satisfied:
+                        pt, status = trial, FEASIBLE
+                        break
+            # backtracking line search on f = c.z/mu + phi from the exact
+            # minimiser of f along the ray.  Below 2^-30 of it an accepted
+            # step would be round-off.
             f0 = float(c_obj @ pt.z) / mu + pt.phi
-            alpha = min(1.0, 0.99 * model.max_step(pt, ys, step))
+            alpha = _ray_minimum(float(c_obj @ step) / mu, delta, top)
             for _ in range(30):
                 trial = model.point(pt.z + alpha * step)
                 if trial is not None and (float(c_obj @ trial.z) / mu + trial.phi
@@ -296,7 +351,7 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
                 trial = None
             if trial is not None:
                 pt = trial
-                if pt.z[n] >= max(MARGIN_STOP, 10 * opts.margin_min):
+                if pt.z[n] >= stop:
                     witness = unpack(pt.z[:n])
                     report = audit(prob, witness, margin_min=opts.margin_min)
                     if report.satisfied:

@@ -53,7 +53,7 @@ SCALAR_INFEASIBLE = {
     "gains": {"K": [[0.0]], "K_psi": [[0.0]]},
 }
 
-# a feasible DT-Lipschitz analysis: the full solve takes 17 Newton steps
+# a feasible DT-Lipschitz analysis: the full solve takes 11 Newton steps
 DIAGONAL_DT = {
     "schema_version": 1,
     "system": {

@@ -13,7 +13,7 @@ from lurecert.model import (
     NonlinearFn,
     close_loop,
 )
-from lurecert.psilib import paper_psi, tanh_psi, zero_psi
+from lurecert.psilib import paper_psi, scaled_tanh_psi, tanh_psi, zero_psi
 from lurecert.simulate import (
     DivergenceError,
     Trajectory,
@@ -239,6 +239,24 @@ class TestRateEstimate:
         rep = rate_estimate(t1, t2, np.eye(1))
         assert len(rep.ratios) == 2
         assert np.allclose(rep.ratios, [0.5, 0.0])
+
+    def test_rounding_level_steps_excluded(self):
+        # psi(0) = 300 puts the fixed point near 1.5e3, where the pair's
+        # distance reaches the states' rounding (about eps * 1.5e3) long
+        # before 1e-12 of its start; those steps must not set max_ratio,
+        # so one ulp in the states leaves it where the dynamics put it
+        cl = ClosedLoop(A_cl=np.array([[0.5, 0.1], [0.0, 0.6]]),
+                        B_cl=np.array([[1.0], [1.0]]), C=np.eye(2), domain=DISCRETE)
+        psi = scaled_tanh_psi(0.2, [1.0, -1.0], offset=300.0)
+        p = np.array([[2.0, 0.3], [0.3, 1.0]])
+        states = simulate_dt(cl, psi, np.array([[0.3, -0.2], [0.2, 0.1]]), 60).states
+        t = np.arange(61.0)
+        b = Trajectory(times=t, states=states[:, 1], domain=DISCRETE)
+        rep = rate_estimate(Trajectory(times=t, states=states[:, 0], domain=DISCRETE), b, p)
+        moved = rate_estimate(Trajectory(times=t, states=np.nextafter(states[:, 0], np.inf),
+                                         domain=DISCRETE), b, p)
+        assert rep.max_ratio < 0.8
+        assert moved.max_ratio == pytest.approx(rep.max_ratio, rel=1e-9)
 
 
 class TestCertifyEmpirically:

@@ -283,7 +283,8 @@ def dt_lip_problem(n_x, tag, seed=None):
 
 
 class TestBarrierModel:
-    """The vectorised barrier: step to the boundary and exact derivatives."""
+    """The vectorised barrier: the ray model, the step to the boundary and
+    exact derivatives."""
 
     def test_max_step_reaches_the_boundary(self):
         rng = np.random.default_rng(11)
@@ -299,7 +300,7 @@ class TestBarrierModel:
             box_dz[prob.pencil.layout.group_slice("Z")] = rng.normal(size=2)
             box_dz[model.n] = -100.0
             for dz in (rng.normal(size=model.nz), box_dz):
-                alpha = model.max_step(pt, ys, dz)
+                alpha = 1.0 / np.max(model.ray_rates(pt, ys, dz))
                 assert 0 < alpha < np.inf
                 scale = np.maximum(1.0, np.abs(block_slacks(model, pt.z)))
                 at_bound = block_slacks(model, pt.z + alpha * dz) / scale
@@ -341,14 +342,14 @@ class TestBarrierModel:
     def test_one_derivatives_call_per_newton_step(self, monkeypatch):
         # DT-Lip analysis with K = 0 at n_x = 10: infeasible, full barrier path
         prob = dt_lip_problem(10, "DT-Lip-analysis")
-        calls = {"derivatives": 0, "point": 0}
+        calls = {"derivatives": 0, "point": 0, "ray_rates": 0}
 
         def counting(name):
             method = getattr(_BarrierModel, name)
 
-            def wrapper(self, arg):
+            def wrapper(self, *args):
                 calls[name] += 1
-                return method(self, arg)
+                return method(self, *args)
             return wrapper
 
         for name in calls:
@@ -356,7 +357,57 @@ class TestBarrierModel:
         res = solve(prob)
         assert res.status == INFEASIBLE
         assert calls["derivatives"] == res.iterations
-        assert calls["point"] <= 2 * res.iterations
+        # t stays negative, so no far end is tried: the start, then one
+        # point per line search, whose first trial (the ray's minimiser)
+        # is accepted
+        assert 0 < calls["ray_rates"] < res.iterations
+        assert calls["point"] == 1 + calls["ray_rates"]
+
+    def test_ray_model_matches_the_barrier(self):
+        # along pt.z + alpha dz the barrier is pt.phi - sum log(1 - alpha delta)
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            model = _BarrierModel(random_barrier_problem(rng, 50.0))
+            pt = interior_point(model, rng)
+            _, _, ys = model.derivatives(pt)
+            dz = rng.normal(size=model.nz)
+            delta = model.ray_rates(pt, ys, dz)
+            edge = 1.0 / np.max(delta)
+            for frac in (0.01, 0.3, 0.7, 0.99):
+                alpha = frac * edge
+                phi = model.point(pt.z + alpha * dz).phi
+                assert phi == pytest.approx(
+                    pt.phi - np.sum(np.log(1.0 - alpha * delta)), rel=1e-9)
+
+    def test_ray_minimum_is_the_minimiser_on_the_ray(self):
+        # f(alpha) = alpha * slope + phi along the Newton ray of a centering
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            model = _BarrierModel(random_barrier_problem(rng, 50.0))
+            pt = interior_point(model, rng)
+            grad, hess, ys = model.derivatives(pt)
+            mu = 10.0 ** rng.uniform(-3, 1)
+            grad[model.n] -= 1.0 / mu
+            dz = np.linalg.solve(hess, -grad)
+            delta = model.ray_rates(pt, ys, dz)
+            slope, top = -dz[model.n] / mu, np.max(delta)
+            alpha = solver._ray_minimum(slope, delta, top)
+            assert 0 < alpha < 1.0 / top
+
+            def f(a):
+                return a * slope - np.sum(np.log1p(-np.multiply.outer(a, delta)), axis=-1)
+            grid = np.linspace(0.0, 1.0 / top, 2001)[1:-1]
+            assert f(alpha) <= np.min(f(grid)) + 1e-3
+
+    def test_a_ray_that_nothing_bounds_is_undetermined(self, monkeypatch):
+        # the box bounds every Newton ray; if none of its rates were
+        # positive the line search could not start, and solve says why
+        monkeypatch.setattr(solver._BarrierModel, "ray_rates",
+                            lambda self, pt, ys, dz: -np.ones(3))
+        res = solve(FeasibilityProblem(scalar_pencil(1.0), positivity=(("P", None),)))
+        assert res.status == UNDETERMINED
+        assert res.iterations == 1
+        assert "no finite positive rate" in res.diagnostics["reason"]
 
     def test_max_step_matches_the_inverse_factor_formula(self):
         # oracle: 1 / lambda_max(L^{-1} A(dz) L^{-T}) over the LMI blocks,
@@ -376,7 +427,8 @@ class TestBarrierModel:
                     -(c + np.tensordot(z, a, axes=(0, 0)))))
                 d = linv @ np.tensordot(dz, a, axes=(0, 0)) @ linv.T
                 rate = max(rate, float(np.linalg.eigvalsh(0.5 * (d + d.T))[-1]))
-            assert model.max_step(pt, ys, dz) == pytest.approx(1.0 / rate, rel=1e-12)
+            top = np.max(model.ray_rates(pt, ys, dz))
+            assert 1.0 / top == pytest.approx(1.0 / rate, rel=1e-12)
 
     def test_one_factorisation_per_point_in_solve(self, monkeypatch):
         # every Cholesky factor comes from point(), one per LMI block, and
@@ -413,3 +465,27 @@ class TestBarrierModel:
         assert res.diagnostics["t_upper_bound"] < SolveOptions().margin_min
         nu = _BarrierModel(prob).nu
         assert res.diagnostics["barrier_mu"] * nu > solver.GAP_TOL
+
+
+# The solver table's instances: (tag, n_x, status, most Newton steps).  The
+# exact line search takes 15, 17, 44, 26, 27, 32, 47 and 50 steps on them;
+# a line search from 0.99 of the step to the boundary took 31, 27, 65, 40,
+# 47, 57, 83 and 73.
+NEWTON_BUDGET = [
+    ("DT-Lip-synthesis", 3, FEASIBLE, 20),
+    ("DT-Lip-synthesis", 6, FEASIBLE, 18),
+    ("DT-Lip-synthesis", 10, INFEASIBLE, 50),
+    ("DT-Lip-synthesis", 16, FEASIBLE, 30),
+    ("DT-Lip-analysis", 2, FEASIBLE, 30),
+    ("DT-Lip-analysis", 3, INFEASIBLE, 40),
+    ("DT-Lip-analysis", 6, INFEASIBLE, 60),
+    ("DT-Lip-analysis", 10, INFEASIBLE, 60),
+]
+
+
+@pytest.mark.parametrize("tag, n_x, status, budget", NEWTON_BUDGET,
+                         ids=[f"{tag}-{n_x}" for tag, n_x, _, _ in NEWTON_BUDGET])
+def test_newton_step_budget(tag, n_x, status, budget):
+    res = solve(dt_lip_problem(n_x, tag))
+    assert res.status == status
+    assert res.iterations <= budget
