@@ -1,6 +1,6 @@
 """Construction of the contractivity matrix inequalities as affine pencils.
 
-Each builder returns an AffinePencil whose evaluation at a variable
+``LmiSpec.build`` returns an AffinePencil whose evaluation at a variable
 assignment equals the corresponding block matrix.  Analysis forms have the
 certificate matrix P as the only decision variable (gains fixed); synthesis
 forms are affine in (W, Z, K_psi) and yield gains via K = Z W^{-1}.
@@ -19,7 +19,6 @@ import numpy as np
 
 from . import linalg
 from .model import (
-    ClosedLoop,
     CONTINUOUS,
     DISCRETE,
     Gains,
@@ -31,6 +30,7 @@ from .model import (
     close_loop,
 )
 from .pencil import AffinePencil, VariableLayout, pencil_from_function
+from .solver import FeasibilityProblem
 
 # Inequality tags.  "analysis" forms are in P; "synthesis" forms in (W, Z, K_psi).
 # ALL_TAGS, the `--theorem` choices, follows the row order of _FORMS below.
@@ -58,17 +58,13 @@ def lower_monotone(nc: Monotone) -> SectorBounded:
 # Block functions take (closed loop or system, class, eta) and return a
 # function of the decision variables, by group name, giving the block matrix.
 
-def build_ct_lip_analysis(cl: ClosedLoop, nc: Lipschitz, eta: float) -> AffinePencil:
+def _ct_lip_analysis(cl, nc, eta):
     """Continuous-time Lipschitz analysis inequality, variable P.
 
     Blocks (n_x, n_psi):
         [[<P A_cl> + 2 eta P + rho^2 C^T Theta_y C,  P B_cl],
          [B_cl^T P,                                  -Theta_psi]]
     """
-    return _build(CT_LIP_ANALYSIS, cl, nc, eta)
-
-
-def _ct_lip_analysis(cl, nc, eta):
     return lambda P: linalg.assemble_sym([cl.n_x, cl.n_psi], {
         (0, 0): (linalg.brack(P @ cl.A_cl) + 2 * eta * P
                  + nc.rho ** 2 * cl.C.T @ nc.theta_y @ cl.C),
@@ -77,7 +73,7 @@ def _ct_lip_analysis(cl, nc, eta):
     })
 
 
-def build_ct_lip_synthesis(sys: LureSystem, nc: Lipschitz, eta: float) -> AffinePencil:
+def _ct_lip_synthesis(sys, nc, eta):
     """Continuous-time Lipschitz synthesis inequality, variables (W, Z, K_psi).
 
     Blocks (n_x, n_psi, n_y):
@@ -86,10 +82,6 @@ def build_ct_lip_synthesis(sys: LureSystem, nc: Lipschitz, eta: float) -> Affine
          [C W,                    0,           -(1/rho^2) Theta_y^{-1}]]
     with B_cl = B_psi + B K_psi affine in K_psi.
     """
-    return _build(CT_LIP_SYNTHESIS, sys, nc, eta)
-
-
-def _ct_lip_synthesis(sys, nc, eta):
     thy_inv = linalg.inverse(nc.theta_y) / nc.rho ** 2
     return lambda W, Z, K_psi: linalg.assemble_sym([sys.n_x, sys.n_psi, sys.n_y], {
         (0, 0): linalg.brack(sys.A @ W + sys.B @ Z) + 2 * eta * W,
@@ -100,7 +92,7 @@ def _ct_lip_synthesis(sys, nc, eta):
     })
 
 
-def build_dt_lip_analysis(cl: ClosedLoop, nc: Lipschitz, eta: float) -> AffinePencil:
+def _dt_lip_analysis(cl, nc, eta):
     """Discrete-time Lipschitz analysis inequality, variable P.
 
     Blocks (n_x, n_psi):
@@ -108,10 +100,6 @@ def build_dt_lip_analysis(cl: ClosedLoop, nc: Lipschitz, eta: float) -> AffinePe
          [B_cl^T P A_cl,                  B_cl^T P B_cl - Theta_psi]]
     Quadratic in A_cl, B_cl but affine in P.
     """
-    return _build(DT_LIP_ANALYSIS, cl, nc, eta)
-
-
-def _dt_lip_analysis(cl, nc, eta):
     return lambda P: linalg.assemble_sym([cl.n_x, cl.n_psi], {
         (0, 0): (cl.A_cl.T @ P @ cl.A_cl - eta ** 2 * P
                  + nc.rho ** 2 * cl.C.T @ nc.theta_y @ cl.C),
@@ -120,7 +108,7 @@ def _dt_lip_analysis(cl, nc, eta):
     })
 
 
-def build_dt_lip_synthesis(sys: LureSystem, nc: Lipschitz, eta: float) -> AffinePencil:
+def _dt_lip_synthesis(sys, nc, eta):
     """Discrete-time Lipschitz synthesis inequality, variables (W, Z, K_psi).
 
     Blocks (n_x, n_psi, n_y, n_x):
@@ -129,10 +117,6 @@ def build_dt_lip_synthesis(sys: LureSystem, nc: Lipschitz, eta: float) -> Affine
          [C W,       0,           -(1/rho^2) Theta_y^{-1},  0],
          [A W + B Z, B_cl,        0,                        -W]]
     """
-    return _build(DT_LIP_SYNTHESIS, sys, nc, eta)
-
-
-def _dt_lip_synthesis(sys, nc, eta):
     thy_inv = linalg.inverse(nc.theta_y) / nc.rho ** 2
     return lambda W, Z, K_psi: linalg.assemble_sym([sys.n_x, sys.n_psi, sys.n_y, sys.n_x], {
         (0, 0): -eta ** 2 * W,
@@ -145,7 +129,7 @@ def _dt_lip_synthesis(sys, nc, eta):
     })
 
 
-def build_ct_sector_analysis(cl: ClosedLoop, nc: SectorBounded, eta: float) -> AffinePencil:
+def _ct_sector_analysis(cl, nc, eta):
     """Continuous-time sector-bounded analysis inequality, variable P.
 
     Blocks (n_x, n_psi):
@@ -153,10 +137,6 @@ def build_ct_sector_analysis(cl: ClosedLoop, nc: SectorBounded, eta: float) -> A
          [B_cl^T P + G^T,      -2 Theta]]
     with G = C^T Gamma^T Theta.
     """
-    return _build(CT_SEC_ANALYSIS, cl, nc, eta)
-
-
-def _ct_sector_analysis(cl, nc, eta):
     return lambda P: linalg.assemble_sym([cl.n_x, cl.n_psi], {
         (0, 0): linalg.brack(P @ cl.A_cl) + 2 * eta * P,
         (0, 1): P @ cl.B_cl + cl.C.T @ nc.gamma.T @ nc.theta,
@@ -164,17 +144,13 @@ def _ct_sector_analysis(cl, nc, eta):
     })
 
 
-def build_ct_sector_synthesis(sys: LureSystem, nc: SectorBounded, eta: float) -> AffinePencil:
+def _ct_sector_synthesis(sys, nc, eta):
     """Continuous-time sector-bounded synthesis inequality, variables (W, Z, K_psi).
 
     Blocks (n_x, n_psi):
         [[<A W + B Z> + 2 eta W,  B_cl + W G],
          [(B_cl + W G)^T,         -2 Theta]]
     """
-    return _build(CT_SEC_SYNTHESIS, sys, nc, eta)
-
-
-def _ct_sector_synthesis(sys, nc, eta):
     return lambda W, Z, K_psi: linalg.assemble_sym([sys.n_x, sys.n_psi], {
         (0, 0): linalg.brack(sys.A @ W + sys.B @ Z) + 2 * eta * W,
         (0, 1): sys.B_psi + sys.B @ K_psi + W @ (sys.C.T @ nc.gamma.T @ nc.theta),
@@ -182,17 +158,13 @@ def _ct_sector_synthesis(sys, nc, eta):
     })
 
 
-def build_dt_sector_analysis(cl: ClosedLoop, nc: SectorBounded, eta: float) -> AffinePencil:
+def _dt_sector_analysis(cl, nc, eta):
     """Discrete-time sector-bounded analysis inequality, variable P.
 
     Blocks (n_x, n_psi):
         [[A_cl^T P A_cl - eta^2 P,  A_cl^T P B_cl + G],
          [B_cl^T P A_cl + G^T,      B_cl^T P B_cl - 2 Theta]]
     """
-    return _build(DT_SEC_ANALYSIS, cl, nc, eta)
-
-
-def _dt_sector_analysis(cl, nc, eta):
     return lambda P: linalg.assemble_sym([cl.n_x, cl.n_psi], {
         (0, 0): cl.A_cl.T @ P @ cl.A_cl - eta ** 2 * P,
         (0, 1): cl.A_cl.T @ P @ cl.B_cl + cl.C.T @ nc.gamma.T @ nc.theta,
@@ -200,7 +172,7 @@ def _dt_sector_analysis(cl, nc, eta):
     })
 
 
-def build_dt_sector_synthesis(sys: LureSystem, nc: SectorBounded, eta: float) -> AffinePencil:
+def _dt_sector_synthesis(sys, nc, eta):
     """Discrete-time sector-bounded synthesis inequality, variables (W, Z, K_psi).
 
     Blocks (n_x, n_psi, n_x):
@@ -208,10 +180,6 @@ def build_dt_sector_synthesis(sys: LureSystem, nc: SectorBounded, eta: float) ->
          [G^T W,      -2 Theta,  B_cl^T],
          [A W + B Z,  B_cl,      -W]]
     """
-    return _build(DT_SEC_SYNTHESIS, sys, nc, eta)
-
-
-def _dt_sector_synthesis(sys, nc, eta):
     return lambda W, Z, K_psi: linalg.assemble_sym([sys.n_x, sys.n_psi, sys.n_x], {
         (0, 0): -eta ** 2 * W,
         (0, 1): W @ (sys.C.T @ nc.gamma.T @ nc.theta),
@@ -222,14 +190,14 @@ def _dt_sector_synthesis(sys, nc, eta):
     })
 
 
-def build_ct_lip_conservative(sys: LureSystem, nc: Lipschitz, eta: float) -> AffinePencil:
+def _ct_lip_conservative(sys, nc, eta):
     """Conservative single-block continuous-time Lipschitz inequality.
 
     <A W + B Z> + 2 (eta + rho) W <= 0, valid only in the comparison
     setting n_x = n_y = n_psi with B_psi = C = I, Theta_y = Theta_psi = I,
     and K_psi fixed to zero.
 
-    Relation to build_ct_lip_synthesis in that setting, with
+    Relation to the full form, _ct_lip_synthesis, in that setting, with
     S = <A W + B Z>:
     - The full form implies this one at the same point (W, Z). Its Schur
       complement is S + 2 eta W + I + rho^2 W^2, and
@@ -243,10 +211,6 @@ def build_ct_lip_conservative(sys: LureSystem, nc: Lipschitz, eta: float) -> Aff
       infeasible, and psi(y) = rho [[0, 0], [1, 0]] y, which is in the
       class, gives A + rho [[0, 0], [1, 0]] an eigenvalue of +1.34.
     """
-    return _build(CT_LIP_CONSERVATIVE, sys, nc, eta)
-
-
-def _ct_lip_conservative(sys, nc, eta):
     eye = np.eye(sys.n_x)
     if sys.n_y != sys.n_x or sys.n_psi != sys.n_x:
         raise PreconditionError("conservative form requires n_x = n_y = n_psi")
@@ -292,41 +256,6 @@ _FORMS = {
 ALL_TAGS = tuple(_FORMS)
 
 
-def _check_domain(tag: str, m, eta: float) -> tuple[_Form, float]:
-    """Check that loop or system ``m`` and rate eta fit form ``tag``."""
-    form = _FORMS[tag]
-    if m.domain != form.domain:
-        raise PreconditionError(f"tag {tag} requires a {form.domain} model, got {m.domain}")
-    eta = float(eta)
-    if form.domain == DISCRETE and not 0 < eta < 1:
-        raise PreconditionError(
-            f"discrete-time contraction factor must satisfy 0 < eta < 1, got {eta}"
-        )
-    if form.domain == CONTINUOUS and not eta > 0:
-        raise PreconditionError(f"contraction rate must be positive, got {eta}")
-    return form, eta
-
-
-def _build(tag: str, m, nc, eta: float) -> AffinePencil:
-    """Check and build form ``tag``; ``m`` is the closed loop for analysis
-    forms and the open-loop system for synthesis forms."""
-    form, eta = _check_domain(tag, m, eta)
-    if nc.n_y != m.n_y or nc.n_psi != m.n_psi:
-        raise linalg.DimensionError(f"class dims ({nc.n_y}, {nc.n_psi}) do not match "
-                                    f"system dims ({m.n_y}, {m.n_psi})")
-    if form.analysis:
-        # Lipschitz analysis needs B_cl != 0 to pin down a positive multiplier.
-        if form.cls is Lipschitz and np.all(m.B_cl == 0.0):
-            raise PreconditionError("analysis form requires B_cl != 0")
-    elif np.all(m.B_psi == 0.0) and np.all(m.B == 0.0):
-        # B_cl = B_psi + B K_psi is identically zero only when B_psi = B = 0.
-        warnings.warn("B_psi = 0 and B = 0: B_cl is identically zero, the "
-                      "synthesis form degenerates", stacklevel=3)
-    blocks = form.blocks(m, nc, eta)
-    return pencil_from_function(VariableLayout([_group(n, m) for n in form.variables]),
-                                lambda v: blocks(**v))
-
-
 @dataclass(frozen=True)
 class LmiSpec:
     """A fully specified inequality instance: tag, system, class, and rate.
@@ -343,7 +272,17 @@ class LmiSpec:
     def __post_init__(self):
         if self.tag not in _FORMS:
             raise ValueError(f"unknown inequality tag {self.tag!r}")
-        form, _ = _check_domain(self.tag, self.system, self.eta)
+        form = _FORMS[self.tag]
+        if self.system.domain != form.domain:
+            raise PreconditionError(f"tag {self.tag} requires a {form.domain} model, "
+                                    f"got {self.system.domain}")
+        eta = float(self.eta)
+        if form.domain == DISCRETE and not 0 < eta < 1:
+            raise PreconditionError(
+                f"discrete-time contraction factor must satisfy 0 < eta < 1, got {eta}"
+            )
+        if form.domain == CONTINUOUS and not eta > 0:
+            raise PreconditionError(f"contraction rate must be positive, got {eta}")
         if not isinstance(self.effective_class(), form.cls):
             wanted = ("a Lipschitz nonlinearity class" if form.cls is Lipschitz
                       else "a sector-bounded or monotone class")
@@ -359,13 +298,35 @@ class LmiSpec:
         return self.nonlinearity
 
     def build(self, gains: Gains | None = None) -> AffinePencil:
-        """Build the pencil; analysis tags require gains."""
+        """Build the pencil; analysis tags require gains, which close the
+        loop, and synthesis tags are built on the open-loop system."""
+        form = _FORMS[self.tag]
         m = self.system
-        if self.is_analysis:
+        if form.analysis:
             if gains is None:
                 raise PreconditionError(f"tag {self.tag} requires gains")
             m = close_loop(self.system, gains)
-        return _build(self.tag, m, self.effective_class(), self.eta)
+        nc = self.effective_class()
+        if nc.n_y != m.n_y or nc.n_psi != m.n_psi:
+            raise linalg.DimensionError(f"class dims ({nc.n_y}, {nc.n_psi}) do not match "
+                                        f"system dims ({m.n_y}, {m.n_psi})")
+        if form.analysis:
+            # Lipschitz analysis needs B_cl != 0 to pin down a positive multiplier.
+            if form.cls is Lipschitz and np.all(m.B_cl == 0.0):
+                raise PreconditionError("analysis form requires B_cl != 0")
+        elif np.all(m.B_psi == 0.0) and np.all(m.B == 0.0):
+            # B_cl = B_psi + B K_psi is identically zero only when B_psi = B = 0.
+            warnings.warn("B_psi = 0 and B = 0: B_cl is identically zero, the "
+                          "synthesis form degenerates", stacklevel=2)
+        blocks = form.blocks(m, nc, float(self.eta))
+        return pencil_from_function(VariableLayout([_group(n, m) for n in form.variables]),
+                                    lambda v: blocks(**v))
+
+    def problem(self, gains: Gains | None = None) -> FeasibilityProblem:
+        """The feasibility problem of ``build(gains)`` with the form's
+        certificate positive definite: P for analysis, W otherwise."""
+        return FeasibilityProblem(self.build(gains),
+                                  positivity=(_FORMS[self.tag].variables[0],))
 
 
 def auto_tag(system: LureSystem, nc: NonlinearityClass, analysis: bool) -> str:

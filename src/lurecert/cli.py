@@ -30,7 +30,7 @@ from .nonlin import (
 from .problemio import build_report, jsonable, load_pairs, load_problem, write_report
 from .psilib import get_builtin
 from .simulate import DivergenceError, random_pairs, sweep_pairs, write_trajectory_csv
-from .solver import FEASIBLE, INFEASIBLE, UNDETERMINED, FeasibilityProblem, SolveOptions, solve
+from .solver import FEASIBLE, INFEASIBLE, UNDETERMINED, SolveOptions, solve
 from .svgplot import Series, write_line_plot
 
 EXIT_OK = 0
@@ -95,9 +95,7 @@ def _solve_analysis(problem, args, spec: LmiSpec):
     if problem.gains is None:
         raise UsageError(
             f"{args.command} requires a `gains` section in the problem file")
-    prob = FeasibilityProblem(pencil=spec.build(problem.gains),
-                              positivity=(("P", None),))
-    return solve(prob, _solve_options(problem, args))
+    return solve(spec.problem(problem.gains), _solve_options(problem, args))
 
 
 def cmd_analyze(args) -> int:
@@ -121,8 +119,7 @@ def cmd_synthesize(args) -> int:
     t0 = time.perf_counter()
     problem = load_problem(args.problem)
     spec = _spec(problem, args.theorem, analysis=False)
-    prob = FeasibilityProblem(pencil=spec.build(), positivity=(("W", None),))
-    result = solve(prob, _solve_options(problem, args))
+    result = solve(spec.problem(), _solve_options(problem, args))
     payload = {
         "theorem": spec.tag,
         "eta": problem.eta,
@@ -266,12 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, problem=True):
-        if problem:
-            sp.add_argument("problem", help="problem file (JSON)")
+    def common(sp, seed=False):
+        sp.add_argument("problem", help="problem file (JSON)")
         sp.add_argument("--out", help="write a JSON report to this path")
-        sp.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (default: ${SEED_ENV} or 0)")
+        if seed:
+            sp.add_argument("--seed", type=int, default=None,
+                            help=f"RNG seed (default: ${SEED_ENV} or 0)")
         sp.add_argument("--quiet", action="store_true")
 
     sp = sub.add_parser("analyze", help="verify a contraction certificate exists")
@@ -287,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_synthesize)
 
     sp = sub.add_parser("simulate", help="simulate trajectories and measure rates")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--steps", type=int, default=None)
     sp.add_argument("--t-end", type=float, default=None)
     sp.add_argument("--dt", type=float, default=None)
@@ -298,14 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("check", help="check a nonlinearity against its class")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--psi", required=True, help="builtin nonlinearity id")
     sp.add_argument("--samples", type=int, default=10_000)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("demo-paper",
                         help="run the bundled reference example end to end")
-    common(sp, problem=False)
+    sp.add_argument("--out", help="directory for the trajectory CSVs and the SVG "
+                                  "plot (default: demo-out)")
+    sp.add_argument("--quiet", action="store_true")
     sp.set_defaults(fn=cmd_demo_paper)
     return p
 

@@ -18,7 +18,7 @@ from .catalog import DT_LIP_SYNTHESIS, LmiSpec, analysis_margin
 from .model import DISCRETE, Gains, Lipschitz, LureSystem, close_loop, recover_gains
 from .psilib import paper_psi
 from .simulate import sweep_pairs, write_trajectory_csv
-from .solver import FeasibilityProblem, audit
+from .solver import audit
 from .svgplot import Series, write_line_plot
 
 # Golden values for the reproduction run.
@@ -86,8 +86,7 @@ def run_demo(out_dir=None, data: DemoData = None) -> DemoSummary:
 
     # 1. published witness satisfies the synthesis inequality
     spec = LmiSpec(tag=DT_LIP_SYNTHESIS, system=sys, nonlinearity=nc, eta=data.eta)
-    pencil = spec.build()
-    prob = FeasibilityProblem(pencil=pencil, positivity=(("W", None),))
+    prob = spec.problem()
     witness = {"W": data.W, "Z": data.Z, "K_psi": data.K_psi}
     report = audit(prob, witness)
     w_lmin = report.positivity_lambda_min["W"]

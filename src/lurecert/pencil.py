@@ -100,10 +100,6 @@ class VariableLayout:
                 out[name] = coords.reshape(lead + g.shape)
         return out
 
-    def group_slice(self, name: str) -> slice:
-        g = self.groups[name]
-        return slice(g.offset, g.offset + g.size)
-
 
 @dataclass(frozen=True)
 class AffinePencil:

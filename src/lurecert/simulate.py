@@ -150,7 +150,7 @@ def rate_estimate(traj1: Trajectory, traj2: Trajectory, p) -> RateReport:
             traj1.times, traj2.times):
         raise linalg.DimensionError("trajectories must share an identical grid")
     diffs = traj1.states - traj2.states
-    dists = np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", diffs, p, diffs), 0.0))
+    dists = np.sqrt(np.maximum(np.einsum("ki,ki->k", diffs @ p, diffs), 0.0))
     if dists[0] == 0.0:
         raise ValueError("initial states coincide; contraction ratio undefined")
     norm2 = max(float(np.max(np.einsum("ki,ki->k", t.states @ p, t.states)))

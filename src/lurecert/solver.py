@@ -32,7 +32,7 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible-certified-numerically"
 UNDETERMINED = "undetermined"
 
-# Default lower bound eps of a positivity group G >= eps I.
+# Lower bound eps of every positivity group, G >= eps I.
 DEFAULT_EPS = 1e-6
 # Default half-width of the coordinate box.
 DEFAULT_BOX = 1e4
@@ -57,10 +57,10 @@ class StructuralError(ValueError):
 class FeasibilityProblem:
     """An affine pencil constraint plus positivity side conditions.
 
-    positivity: (group name, eps) pairs requiring group >= eps * I, with
-    0 < eps < box; eps None picks DEFAULT_EPS, and construction stores the
-    resolved float.
-    box: half-width of the coordinate box |x_i| <= box.
+    positivity: names of symmetric variable groups G, each required to
+    satisfy G >= DEFAULT_EPS * I.
+    box: half-width of the coordinate box |x_i| <= box; above DEFAULT_EPS
+    when there is a positivity group.
     """
 
     pencil: AffinePencil
@@ -71,18 +71,14 @@ class FeasibilityProblem:
         if not self.box > 0:
             raise StructuralError("box must be positive")
         groups = self.pencil.layout.groups
-        resolved = []
-        for g, eps in self.positivity:
+        for g in self.positivity:
             if g not in groups:
                 raise StructuralError(f"positivity references unknown group {g!r}")
             if groups[g].kind != SYM:
                 raise StructuralError(f"positivity group {g!r} is not symmetric")
-            eps = DEFAULT_EPS if eps is None else float(eps)
-            if not 0 < eps < self.box:
-                raise StructuralError(
-                    f"eps of group {g!r} must lie in (0, box = {self.box}), got {eps}")
-            resolved.append((g, eps))
-        object.__setattr__(self, "positivity", tuple(resolved))
+        if self.positivity and not self.box > DEFAULT_EPS:
+            raise StructuralError(
+                f"box = {self.box} must exceed the positivity floor {DEFAULT_EPS}")
 
 
 @dataclass(frozen=True)
@@ -135,11 +131,11 @@ def audit(prob: FeasibilityProblem, witness: dict,
     lmax = float(linalg.eigvals_sym(f)[-1])
     pos = {}
     ok = lmax <= -margin_min
-    for g, eps in prob.positivity:
+    for g in prob.positivity:
         lmin = float(linalg.eigvals_sym(witness[g])[0])
         pos[g] = lmin
         # tiny absolute slack for roundoff at the eps boundary
-        if lmin < eps - 1e-12 * max(1.0, eps):
+        if lmin < DEFAULT_EPS - 1e-12:
             ok = False
     return MarginReport(pencil_lambda_max=lmax, positivity_lambda_min=pos,
                         satisfied=ok)
@@ -180,16 +176,16 @@ class _BarrierModel:
         self.blocks = [block(prob.pencil, np.eye(m))]
 
         # positivity: eps I - G(x) <= 0.  Each group starts at v I with v
-        # strictly inside (eps, box): 1 for the default eps and a box >= 2;
-        # other coordinates start at 0.
+        # strictly inside (eps, box): 1 for a box >= 2; other coordinates
+        # start at 0.
         x0 = np.zeros(n)
-        for g, eps in prob.positivity:
+        for g in prob.positivity:
             grp = layout.groups[g]
             dim = grp.shape[0]
-            pos = pencil_from_function(layout, lambda v: eps * np.eye(dim) - v[g])
+            pos = pencil_from_function(layout, lambda v: DEFAULT_EPS * np.eye(dim) - v[g])
             self.blocks.append(block(pos, np.zeros((dim, dim))))
             i, j = np.triu_indices(dim)
-            x0[grp.offset + np.flatnonzero(i == j)] = min(max(1.0, 2 * eps), (eps + prob.box) / 2)
+            x0[grp.offset + np.flatnonzero(i == j)] = min(1.0, (DEFAULT_EPS + prob.box) / 2)
 
         # start just inside the pencil block: t below -lambda_max(F(x0))
         lmax = float(np.linalg.eigvalsh(prob.pencil.evaluate_coords(x0))[-1])

@@ -2,13 +2,9 @@
 
 import numpy as np
 
-from lurecert.catalog import (
-    build_ct_lip_analysis,
-    build_ct_sector_analysis,
-    build_dt_lip_analysis,
-    build_dt_sector_analysis,
-)
-from lurecert.model import Gains, Lipschitz, LureSystem, SectorBounded, close_loop
+from lurecert.catalog import LmiSpec, auto_tag
+from lurecert.model import Gains, Lipschitz, LureSystem, SectorBounded
+from lurecert.solver import DEFAULT_EPS
 
 
 def random_spd(rng, n, scale=1.0):
@@ -64,8 +60,8 @@ def grid_oracle(prob, n=81):
     """Exhaustive box search over a 2-coordinate feasibility problem.
 
     Returns the best (smallest) violation score over the grid, where the
-    score is max(lambda_max(F), eps - lambda_min(G)) across all positivity
-    groups; a negative score exhibits a feasible point.
+    score is max(lambda_max(F), DEFAULT_EPS - lambda_min(G)) across all
+    positivity groups; a negative score exhibits a feasible point.
     """
     layout = prob.pencil.layout
     assert layout.size == 2
@@ -77,21 +73,13 @@ def grid_oracle(prob, n=81):
     fs = (prob.pencil.F0[None, :, :]
           + np.tensordot(xs, prob.pencil.basis, axes=(1, 0)))
     scores = np.linalg.eigvalsh(fs)[:, -1]
-    for gname, eps in prob.positivity:
+    for gname in prob.positivity:
         g = layout.groups[gname]
         # only 1x1 positivity groups appear in 2-coordinate problems
         assert g.size == 1
         vals = xs[:, g.offset]
-        scores = np.maximum(scores, eps - vals)
+        scores = np.maximum(scores, DEFAULT_EPS - vals)
     return float(scores.min())
-
-
-_ANALYSIS_BUILDERS = {
-    ("continuous", "lip"): build_ct_lip_analysis,
-    ("discrete", "lip"): build_dt_lip_analysis,
-    ("continuous", "sector"): build_ct_sector_analysis,
-    ("discrete", "sector"): build_dt_sector_analysis,
-}
 
 
 def biased_feasible_instance(rng, domain, variant, n_x=3):
@@ -133,9 +121,8 @@ def biased_feasible_instance(rng, domain, variant, n_x=3):
             nc = SectorBounded(gamma=0.1 * rng.normal(size=(n_psi, n_y)),
                                theta=random_spd(rng, n_psi))
         p = random_spd(rng, n_x, scale=0.2) + 0.8 * np.eye(n_x)
-        pencil = _ANALYSIS_BUILDERS[(domain, variant)](
-            close_loop(sys, gains), nc, eta)
-        f = pencil.evaluate({"P": p})
+        spec = LmiSpec(auto_tag(sys, nc, analysis=True), sys, nc, eta)
+        f = spec.build(gains).evaluate({"P": p})
         lmax = float(np.linalg.eigvalsh(f)[-1])
         if lmax < -1e-6 * max(1.0, np.abs(f).max()):
             return sys, nc, eta, gains, p

@@ -15,8 +15,11 @@ import pytest
 
 from lurecert import linalg
 from lurecert.catalog import (
-    build_ct_lip_conservative,
-    build_ct_lip_synthesis,
+    CT_LIP_CONSERVATIVE,
+    CT_LIP_SYNTHESIS,
+    DT_LIP_SYNTHESIS,
+    LmiSpec,
+    auto_tag,
 )
 from lurecert.cli import main
 from lurecert.demo import DemoData
@@ -69,8 +72,7 @@ class TestCriterion1WitnessAudit:
     def test_reference_witness_is_feasible(self):
         t0 = time.perf_counter()
         sys = DATA.system()
-        from lurecert.catalog import build_dt_lip_synthesis
-        pencil = build_dt_lip_synthesis(sys, DATA.lipschitz(), DATA.eta)
+        pencil = LmiSpec(DT_LIP_SYNTHESIS, sys, DATA.lipschitz(), DATA.eta).build()
         f = pencil.evaluate({"W": DATA.W, "Z": DATA.Z, "K_psi": DATA.K_psi})
         lmax = float(linalg.eigvals_sym(f)[-1])
         w_lmin = float(linalg.eigvals_sym(DATA.W)[0])
@@ -142,49 +144,33 @@ class TestCriterion5Equivalence:
              (33, "continuous", "sector"), (34, "discrete", "sector")]
 
     def test_analysis_synthesis_feasibility_transfer(self):
-        from lurecert.catalog import (
-            build_ct_lip_analysis, build_ct_lip_synthesis,
-            build_ct_sector_analysis, build_ct_sector_synthesis,
-            build_dt_lip_analysis, build_dt_lip_synthesis,
-            build_dt_sector_analysis, build_dt_sector_synthesis,
-        )
-        builders = {
-            ("continuous", "lip"): (build_ct_lip_analysis, build_ct_lip_synthesis),
-            ("discrete", "lip"): (build_dt_lip_analysis, build_dt_lip_synthesis),
-            ("continuous", "sector"): (build_ct_sector_analysis,
-                                       build_ct_sector_synthesis),
-            ("discrete", "sector"): (build_dt_sector_analysis,
-                                     build_dt_sector_synthesis),
-        }
         t0 = time.perf_counter()
         checked_arbitrary = 0
         for seed, domain, variant in self.PAIRS:
-            a_build, s_build = builders[(domain, variant)]
             rng = np.random.default_rng(seed)
             for _ in range(50):
                 n_x = int(rng.integers(2, 5))
                 sys, nc, eta, gains, p = biased_feasible_instance(
                     rng, domain, variant, n_x=n_x)
+                analysis = LmiSpec(auto_tag(sys, nc, analysis=True), sys, nc, eta)
+                synthesis = LmiSpec(auto_tag(sys, nc, analysis=False), sys, nc, eta)
                 # feasible analysis point -> feasible synthesis point
-                fa = a_build(close_loop(sys, gains), nc, eta).evaluate({"P": p})
+                fa = analysis.build(gains).evaluate({"P": p})
                 assert linalg.is_nsd(fa, tol=1e-8)[0]
                 wit = synthesis_point(p, gains)
-                fs = s_build(sys, nc, eta).evaluate(wit)
+                fs = synthesis.build().evaluate(wit)
                 assert linalg.is_nsd(fs, tol=1e-8)[0]
                 # feasible synthesis point -> feasible analysis point
                 p2, gains2 = analysis_point(wit)
-                fa2 = a_build(close_loop(sys, gains2), nc, eta).evaluate(
-                    {"P": p2})
+                fa2 = analysis.build(gains2).evaluate({"P": p2})
                 assert linalg.is_nsd(fa2, tol=1e-8)[0]
                 # verdicts also agree at an arbitrary off-boundary point
                 q = random_spd(rng, sys.n_x, scale=float(rng.uniform(0.2, 3.0)))
                 g2 = random_gains(rng, sys)
                 la = float(linalg.eigvals_sym(
-                    a_build(close_loop(sys, g2), nc, eta).evaluate(
-                        {"P": q}))[-1])
+                    analysis.build(g2).evaluate({"P": q}))[-1])
                 ls = float(linalg.eigvals_sym(
-                    s_build(sys, nc, eta).evaluate(
-                        synthesis_point(q, g2)))[-1])
+                    synthesis.build().evaluate(synthesis_point(q, g2)))[-1])
                 if min(abs(la), abs(ls)) > 1e-6:
                     assert (la <= 0) == (ls <= 0)
                     checked_arbitrary += 1
@@ -315,12 +301,12 @@ class TestCriterion8ConservativeSufficiency:
             eta = float(rng.uniform(0.1, 0.8))
             w = float(rng.uniform(0.3, 2.0))
             z = rng.normal(size=(1, n))
-            cons = build_ct_lip_conservative(sys, nc, eta).evaluate(
+            cons = LmiSpec(CT_LIP_CONSERVATIVE, sys, nc, eta).build().evaluate(
                 {"W": w * np.eye(n), "Z": z})
             if not linalg.is_nsd(cons, tol=0.0)[0]:
                 continue
             checked += 1
-            full = build_ct_lip_synthesis(sys, nc, eta).evaluate(
+            full = LmiSpec(CT_LIP_SYNTHESIS, sys, nc, eta).build().evaluate(
                 {"W": np.eye(n) / nc.rho, "Z": z / (nc.rho * w),
                  "K_psi": np.zeros((1, n))})
             if not linalg.is_nsd(full, tol=1e-8)[0]:
@@ -348,9 +334,9 @@ class TestCriterion8ConservativeSufficiency:
             eta = float(rng.uniform(0.1, 0.8))
             w = random_spd(rng, n, scale=float(rng.uniform(0.3, 2.0)))
             z = rng.normal(size=(1, n))
-            full = build_ct_lip_synthesis(sys, nc, eta).evaluate(
+            full = LmiSpec(CT_LIP_SYNTHESIS, sys, nc, eta).build().evaluate(
                 {"W": w, "Z": z, "K_psi": np.zeros((1, n))})
-            cons = build_ct_lip_conservative(sys, nc, eta).evaluate(
+            cons = LmiSpec(CT_LIP_CONSERVATIVE, sys, nc, eta).build().evaluate(
                 {"W": w, "Z": z})
             if linalg.is_nsd(full, tol=0.0)[0]:
                 full_feasible += 1
@@ -449,9 +435,9 @@ class TestCriterion10SolverFuzz:
         pencil = AffinePencil(layout=layout, F0=f0, basis=np.array(coeffs))
         positivity = ()
         if two_var and rng.random() < 0.4:
-            positivity = (("P", None),)
+            positivity = ("P",)
         elif not two_var and rng.random() < 0.4:
-            positivity = (("X", None),)
+            positivity = ("X",)
         return FeasibilityProblem(pencil, positivity=positivity,
                                   box=2.0 if two_var else 50.0)
 

@@ -20,15 +20,6 @@ from lurecert.catalog import (
     LmiSpec,
     PreconditionError,
     auto_tag,
-    build_ct_lip_analysis,
-    build_ct_lip_conservative,
-    build_ct_lip_synthesis,
-    build_ct_sector_analysis,
-    build_ct_sector_synthesis,
-    build_dt_lip_analysis,
-    build_dt_lip_synthesis,
-    build_dt_sector_analysis,
-    build_dt_sector_synthesis,
     lower_monotone,
 )
 from lurecert.model import (
@@ -64,16 +55,17 @@ def random_sector(rng, n_y, n_psi):
 
 
 class TestBlockForms:
-    """Each builder's evaluation must equal the directly assembled blocks."""
+    """Each form's pencil must evaluate to the directly assembled blocks."""
 
     def test_ct_lip_analysis(self):
         rng = np.random.default_rng(0)
         sys = random_lure(rng, 3, 1, 2, 2, CONTINUOUS)
-        cl = close_loop(sys, random_gains(rng, sys))
+        gains = random_gains(rng, sys)
+        cl = close_loop(sys, gains)
         nc = random_lip(rng, 2, 2)
         eta = 0.4
         p = random_spd(rng, 3)
-        f = build_ct_lip_analysis(cl, nc, eta).evaluate({"P": p})
+        f = LmiSpec(CT_LIP_ANALYSIS, sys, nc, eta).build(gains).evaluate({"P": p})
         top = (p @ cl.A_cl + cl.A_cl.T @ p + 2 * eta * p
                + nc.rho ** 2 * cl.C.T @ nc.theta_y @ cl.C)
         expected = np.block([[top, p @ cl.B_cl],
@@ -88,7 +80,7 @@ class TestBlockForms:
         w = random_spd(rng, 3)
         z = rng.normal(size=(2, 3))
         kp = rng.normal(size=(2, 1))
-        f = build_ct_lip_synthesis(sys, nc, eta).evaluate(
+        f = LmiSpec(CT_LIP_SYNTHESIS, sys, nc, eta).build().evaluate(
             {"W": w, "Z": z, "K_psi": kp})
         b_cl = sys.B_psi + sys.B @ kp
         awbz = sys.A @ w + sys.B @ z
@@ -103,11 +95,12 @@ class TestBlockForms:
     def test_dt_lip_analysis(self):
         rng = np.random.default_rng(2)
         sys = random_lure(rng, 3, 1, 1, 2, DISCRETE)
-        cl = close_loop(sys, random_gains(rng, sys))
+        gains = random_gains(rng, sys)
+        cl = close_loop(sys, gains)
         nc = random_lip(rng, 2, 1)
         eta = 0.8
         p = random_spd(rng, 3)
-        f = build_dt_lip_analysis(cl, nc, eta).evaluate({"P": p})
+        f = LmiSpec(DT_LIP_ANALYSIS, sys, nc, eta).build(gains).evaluate({"P": p})
         expected = np.block([
             [cl.A_cl.T @ p @ cl.A_cl - eta ** 2 * p
              + nc.rho ** 2 * cl.C.T @ nc.theta_y @ cl.C,
@@ -124,7 +117,7 @@ class TestBlockForms:
         w = random_spd(rng, 2)
         z = rng.normal(size=(1, 2))
         kp = rng.normal(size=(1, 1))
-        f = build_dt_lip_synthesis(sys, nc, eta).evaluate(
+        f = LmiSpec(DT_LIP_SYNTHESIS, sys, nc, eta).build().evaluate(
             {"W": w, "Z": z, "K_psi": kp})
         b_cl = sys.B_psi + sys.B @ kp
         awbz = sys.A @ w + sys.B @ z
@@ -140,11 +133,12 @@ class TestBlockForms:
     def test_ct_sector_analysis(self):
         rng = np.random.default_rng(4)
         sys = random_lure(rng, 3, 1, 2, 2, CONTINUOUS)
-        cl = close_loop(sys, random_gains(rng, sys))
+        gains = random_gains(rng, sys)
+        cl = close_loop(sys, gains)
         nc = random_sector(rng, 2, 2)
         eta = 0.5
         p = random_spd(rng, 3)
-        f = build_ct_sector_analysis(cl, nc, eta).evaluate({"P": p})
+        f = LmiSpec(CT_SEC_ANALYSIS, sys, nc, eta).build(gains).evaluate({"P": p})
         g = cl.C.T @ nc.gamma.T @ nc.theta
         expected = np.block([
             [p @ cl.A_cl + cl.A_cl.T @ p + 2 * eta * p, p @ cl.B_cl + g],
@@ -160,7 +154,7 @@ class TestBlockForms:
         w = random_spd(rng, 3)
         z = rng.normal(size=(1, 3))
         kp = rng.normal(size=(1, 2))
-        f = build_ct_sector_synthesis(sys, nc, eta).evaluate(
+        f = LmiSpec(CT_SEC_SYNTHESIS, sys, nc, eta).build().evaluate(
             {"W": w, "Z": z, "K_psi": kp})
         b_cl = sys.B_psi + sys.B @ kp
         g = sys.C.T @ nc.gamma.T @ nc.theta
@@ -174,11 +168,12 @@ class TestBlockForms:
     def test_dt_sector_analysis(self):
         rng = np.random.default_rng(6)
         sys = random_lure(rng, 2, 1, 1, 1, DISCRETE)
-        cl = close_loop(sys, random_gains(rng, sys))
+        gains = random_gains(rng, sys)
+        cl = close_loop(sys, gains)
         nc = random_sector(rng, 1, 1)
         eta = 0.6
         p = random_spd(rng, 2)
-        f = build_dt_sector_analysis(cl, nc, eta).evaluate({"P": p})
+        f = LmiSpec(DT_SEC_ANALYSIS, sys, nc, eta).build(gains).evaluate({"P": p})
         g = cl.C.T @ nc.gamma.T @ nc.theta
         expected = np.block([
             [cl.A_cl.T @ p @ cl.A_cl - eta ** 2 * p, cl.A_cl.T @ p @ cl.B_cl + g],
@@ -195,7 +190,7 @@ class TestBlockForms:
         w = random_spd(rng, 2)
         z = rng.normal(size=(1, 2))
         kp = rng.normal(size=(1, 1))
-        f = build_dt_sector_synthesis(sys, nc, eta).evaluate(
+        f = LmiSpec(DT_SEC_SYNTHESIS, sys, nc, eta).build().evaluate(
             {"W": w, "Z": z, "K_psi": kp})
         b_cl = sys.B_psi + sys.B @ kp
         g = sys.C.T @ nc.gamma.T @ nc.theta
@@ -216,7 +211,7 @@ class TestBlockForms:
         eta = 0.3
         w = random_spd(rng, n)
         z = rng.normal(size=(1, n))
-        f = build_ct_lip_conservative(sys, nc, eta).evaluate({"W": w, "Z": z})
+        f = LmiSpec(CT_LIP_CONSERVATIVE, sys, nc, eta).build().evaluate({"W": w, "Z": z})
         awbz = sys.A @ w + sys.B @ z
         expected = awbz + awbz.T + 2 * (eta + nc.rho) * w
         assert np.allclose(f, expected, atol=1e-12)
@@ -273,9 +268,9 @@ class TestScalarHandCases:
         sys = LureSystem(A=np.array([[-2.0]]), B=np.zeros((1, 1)),
                          B_psi=np.array([[1.0]]), C=np.eye(1),
                          domain=CONTINUOUS)
-        cl = close_loop(sys, Gains(K=np.zeros((1, 1)), K_psi=np.zeros((1, 1))))
+        gains = Gains(K=np.zeros((1, 1)), K_psi=np.zeros((1, 1)))
         nc = SectorBounded(gamma=np.eye(1), theta=np.eye(1))
-        f = build_ct_sector_analysis(cl, nc, 0.5).evaluate({"P": np.eye(1)})
+        f = LmiSpec(CT_SEC_ANALYSIS, sys, nc, 0.5).build(gains).evaluate({"P": np.eye(1)})
         assert np.allclose(f, [[-3.0, 2.0], [2.0, -2.0]])
         assert linalg.is_nsd(f)[0]
 
@@ -284,9 +279,9 @@ class TestScalarHandCases:
         # [[0.25 - 0.81 + 0.01, 0.5], [0.5, 1 - 1]] = [[-0.55, 0.5], [0.5, 0]]
         sys = LureSystem(A=np.array([[0.5]]), B=np.zeros((1, 1)),
                          B_psi=np.array([[1.0]]), C=np.eye(1), domain=DISCRETE)
-        cl = close_loop(sys, Gains(K=np.zeros((1, 1)), K_psi=np.zeros((1, 1))))
+        gains = Gains(K=np.zeros((1, 1)), K_psi=np.zeros((1, 1)))
         nc = Lipschitz(rho=0.1, theta_y=np.eye(1), theta_psi=np.eye(1))
-        f = build_dt_lip_analysis(cl, nc, 0.9).evaluate({"P": np.eye(1)})
+        f = LmiSpec(DT_LIP_ANALYSIS, sys, nc, 0.9).build(gains).evaluate({"P": np.eye(1)})
         assert np.allclose(f, [[-0.55, 0.5], [0.5, 0.0]])
 
 
@@ -294,12 +289,11 @@ class TestPreconditions:
     def test_domain_mismatch(self):
         rng = np.random.default_rng(9)
         sys = random_lure(rng, 2, 1, 1, 1, DISCRETE)
-        cl = close_loop(sys, random_gains(rng, sys))
         nc = random_lip(rng, 1, 1)
         with pytest.raises(PreconditionError):
-            build_ct_lip_analysis(cl, nc, 0.5)
+            LmiSpec(CT_LIP_ANALYSIS, sys, nc, 0.5)
         with pytest.raises(PreconditionError):
-            build_ct_lip_synthesis(sys, nc, 0.5)
+            LmiSpec(CT_LIP_SYNTHESIS, sys, nc, 0.5)
 
     def test_dt_eta_range(self):
         rng = np.random.default_rng(10)
@@ -307,31 +301,32 @@ class TestPreconditions:
         nc = random_lip(rng, 1, 1)
         for bad in (0.0, 1.0, 1.5, -0.2):
             with pytest.raises(PreconditionError):
-                build_dt_lip_synthesis(sys, nc, bad)
+                LmiSpec(DT_LIP_SYNTHESIS, sys, nc, bad)
 
     def test_ct_eta_positive(self):
         rng = np.random.default_rng(11)
         sys = random_lure(rng, 2, 1, 1, 1, CONTINUOUS)
         nc = random_lip(rng, 1, 1)
         with pytest.raises(PreconditionError):
-            build_ct_lip_synthesis(sys, nc, 0.0)
+            LmiSpec(CT_LIP_SYNTHESIS, sys, nc, 0.0)
         # a CT rate above one is legitimate
-        build_ct_lip_synthesis(sys, nc, 2.5)
+        LmiSpec(CT_LIP_SYNTHESIS, sys, nc, 2.5).build()
 
     def test_analysis_requires_nonzero_b_cl(self):
         sys = LureSystem(A=np.array([[0.5]]), B=np.array([[1.0]]),
                          B_psi=np.array([[1.0]]), C=np.eye(1), domain=DISCRETE)
-        cl = close_loop(sys, Gains(K=np.zeros((1, 1)), K_psi=np.array([[-1.0]])))
+        gains = Gains(K=np.zeros((1, 1)), K_psi=np.array([[-1.0]]))
         nc = Lipschitz(rho=0.1, theta_y=np.eye(1), theta_psi=np.eye(1))
+        spec = LmiSpec(DT_LIP_ANALYSIS, sys, nc, 0.9)
         with pytest.raises(PreconditionError):
-            build_dt_lip_analysis(cl, nc, 0.9)
+            spec.build(gains)
 
     def test_synthesis_warns_on_degenerate_b(self):
         sys = LureSystem(A=np.array([[0.5]]), B=np.zeros((1, 1)),
                          B_psi=np.zeros((1, 1)), C=np.eye(1), domain=DISCRETE)
         nc = Lipschitz(rho=0.1, theta_y=np.eye(1), theta_psi=np.eye(1))
         with pytest.warns(UserWarning):
-            build_dt_lip_synthesis(sys, nc, 0.9)
+            LmiSpec(DT_LIP_SYNTHESIS, sys, nc, 0.9).build()
 
     def test_conservative_setting_enforced(self):
         rng = np.random.default_rng(12)
@@ -340,7 +335,7 @@ class TestPreconditions:
                          B_psi=np.ones((2, 2)) + np.eye(2), C=np.eye(2),
                          domain=CONTINUOUS)
         with pytest.raises(PreconditionError):
-            build_ct_lip_conservative(bad, nc, 0.3)
+            LmiSpec(CT_LIP_CONSERVATIVE, bad, nc, 0.3).build()
         del rng
 
     def test_class_dim_mismatch(self):
@@ -348,7 +343,7 @@ class TestPreconditions:
         sys = random_lure(rng, 3, 1, 2, 2, CONTINUOUS)
         nc = random_lip(rng, 1, 2)
         with pytest.raises(linalg.DimensionError):
-            build_ct_lip_synthesis(sys, nc, 0.5)
+            LmiSpec(CT_LIP_SYNTHESIS, sys, nc, 0.5).build()
 
 
 class TestMonotoneLowering:
@@ -367,32 +362,31 @@ class TestEquivalenceReplay:
     """
 
     PAIRS = [
-        (11, CONTINUOUS, "lip", build_ct_lip_analysis, build_ct_lip_synthesis),
-        (12, DISCRETE, "lip", build_dt_lip_analysis, build_dt_lip_synthesis),
-        (13, CONTINUOUS, "sector", build_ct_sector_analysis, build_ct_sector_synthesis),
-        (14, DISCRETE, "sector", build_dt_sector_analysis, build_dt_sector_synthesis),
+        (11, CONTINUOUS, "lip", CT_LIP_ANALYSIS, CT_LIP_SYNTHESIS),
+        (12, DISCRETE, "lip", DT_LIP_ANALYSIS, DT_LIP_SYNTHESIS),
+        (13, CONTINUOUS, "sector", CT_SEC_ANALYSIS, CT_SEC_SYNTHESIS),
+        (14, DISCRETE, "sector", DT_SEC_ANALYSIS, DT_SEC_SYNTHESIS),
     ]
 
-    @pytest.mark.parametrize("seed,domain,variant,a_build,s_build", PAIRS)
+    @pytest.mark.parametrize("seed,domain,variant,a_tag,s_tag", PAIRS)
     def test_feasible_points_map_both_ways(self, seed, domain, variant,
-                                           a_build, s_build):
+                                           a_tag, s_tag):
         rng = np.random.default_rng(seed)
         for _ in range(10):
             sys, nc, eta, gains, p = biased_feasible_instance(rng, domain, variant)
-            cl = close_loop(sys, gains)
-            fa = a_build(cl, nc, eta).evaluate({"P": p})
+            fa = LmiSpec(a_tag, sys, nc, eta).build(gains).evaluate({"P": p})
             assert linalg.is_nsd(fa)[0]
             wit = synthesis_point(p, gains)
-            fs = s_build(sys, nc, eta).evaluate(wit)
+            fs = LmiSpec(s_tag, sys, nc, eta).build().evaluate(wit)
             assert linalg.is_nsd(fs)[0]
             # and back again through the recovered analysis point
             p2, gains2 = analysis_point(wit)
-            fa2 = a_build(close_loop(sys, gains2), nc, eta).evaluate({"P": p2})
+            fa2 = LmiSpec(a_tag, sys, nc, eta).build(gains2).evaluate({"P": p2})
             assert linalg.is_nsd(fa2)[0]
 
-    @pytest.mark.parametrize("seed,domain,variant,a_build,s_build", PAIRS)
+    @pytest.mark.parametrize("seed,domain,variant,a_tag,s_tag", PAIRS)
     def test_verdicts_agree_at_arbitrary_points(self, seed, domain, variant,
-                                                a_build, s_build):
+                                                a_tag, s_tag):
         rng = np.random.default_rng(100 + seed)
         agreements = 0
         for _ in range(20):
@@ -400,9 +394,8 @@ class TestEquivalenceReplay:
             # a fresh random point, usually infeasible
             p = random_spd(rng, sys.n_x, scale=float(rng.uniform(0.2, 3.0)))
             gains = random_gains(rng, sys, scale=1.0)
-            cl = close_loop(sys, gains)
-            fa = a_build(cl, nc, eta).evaluate({"P": p})
-            fs = s_build(sys, nc, eta).evaluate(synthesis_point(p, gains))
+            fa = LmiSpec(a_tag, sys, nc, eta).build(gains).evaluate({"P": p})
+            fs = LmiSpec(s_tag, sys, nc, eta).build().evaluate(synthesis_point(p, gains))
             la = float(linalg.eigvals_sym(fa)[-1])
             ls = float(linalg.eigvals_sym(fs)[-1])
             if min(abs(la), abs(ls)) < 1e-6 * max(1.0, abs(fa).max()):
@@ -435,11 +428,11 @@ class TestConservativeDirection:
             eta = float(rng.uniform(0.1, 1.0))
             w = random_spd(rng, n, scale=float(rng.uniform(0.2, 2.0)))
             z = 0.3 * rng.normal(size=(1, n))
-            full = build_ct_lip_synthesis(sys, nc, eta).evaluate(
+            full = LmiSpec(CT_LIP_SYNTHESIS, sys, nc, eta).build().evaluate(
                 {"W": w, "Z": z, "K_psi": np.zeros((1, n))})
             if not linalg.is_nsd(full, tol=0.0)[0]:
                 continue
-            cons = build_ct_lip_conservative(sys, nc, eta).evaluate(
+            cons = LmiSpec(CT_LIP_CONSERVATIVE, sys, nc, eta).build().evaluate(
                 {"W": w, "Z": z})
             assert linalg.is_nsd(cons)[0]
             found += 1
@@ -452,9 +445,9 @@ class TestConservativeDirection:
         nc = Lipschitz(rho=0.5, theta_y=np.eye(1), theta_psi=np.eye(1))
         w = np.eye(1)
         z = np.zeros((1, 1))
-        cons = build_ct_lip_conservative(sys, nc, 0.5).evaluate({"W": w, "Z": z})
+        cons = LmiSpec(CT_LIP_CONSERVATIVE, sys, nc, 0.5).build().evaluate({"W": w, "Z": z})
         assert linalg.is_nsd(cons)[0]
-        full = build_ct_lip_synthesis(sys, nc, 0.5).evaluate(
+        full = LmiSpec(CT_LIP_SYNTHESIS, sys, nc, 0.5).build().evaluate(
             {"W": w, "Z": z, "K_psi": np.zeros((1, 1))})
         assert not linalg.is_nsd(full)[0]
 
@@ -492,13 +485,26 @@ class TestLmiSpec:
         with pytest.raises(PreconditionError):
             spec.build()
 
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_problem_makes_the_certificate_positive(self, tag):
+        # P for analysis, W for synthesis and the conservative form, on the
+        # pencil that build gives
+        rng = np.random.default_rng(sum(map(ord, tag)))
+        spec = TestReferenceProbe.instance(rng, tag, 3)
+        gains = random_gains(rng, spec.system) if spec.is_analysis else None
+        prob = spec.problem(gains)
+        assert prob.positivity == (("P",) if spec.is_analysis else ("W",))
+        pencil = spec.build(gains)
+        assert np.array_equal(prob.pencil.F0, pencil.F0)
+        assert np.array_equal(prob.pencil.basis, pencil.basis)
+
     def test_monotone_is_lowered_before_building(self):
         sys = LureSystem(A=np.array([[0.3]]), B=np.array([[1.0]]),
                          B_psi=np.array([[1.0]]), C=np.eye(1), domain=DISCRETE)
         nc = Monotone(gamma=np.array([[2.0]]))
         spec = LmiSpec(tag=DT_SEC_SYNTHESIS, system=sys, nonlinearity=nc, eta=0.5)
         pencil = spec.build()
-        direct = build_dt_sector_synthesis(sys, lower_monotone(nc), 0.5)
+        direct = LmiSpec(DT_SEC_SYNTHESIS, sys, lower_monotone(nc), 0.5).build()
         wit = {"W": np.eye(1), "Z": np.zeros((1, 1)), "K_psi": np.zeros((1, 1))}
         assert np.allclose(pencil.evaluate(wit), direct.evaluate(wit))
 

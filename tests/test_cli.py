@@ -447,6 +447,8 @@ class TestExitCodes:
         (["analyze", "{huge}"], 3, "error: pencil basis contains non-finite entries"),
         (["simulate", "{huge}", "--steps", "5"], 3,
          "error: pencil basis contains non-finite entries"),
+        # the seed drives only simulate's and check's draws
+        (["analyze", "{problem}", "--seed", "5"], 1, "unrecognized arguments: --seed"),
     ])
     def test_exit_code(self, tmp_path, capsys, argv, code, err):
         files = {

@@ -77,9 +77,9 @@ class TestVariableLayout:
         with pytest.raises(linalg.DimensionError):
             VariableLayout([("P", "sym", (2, 3))])
 
-    def test_group_slice(self):
-        layout = demo_layout()
-        assert layout.group_slice("Z") == slice(6, 9)
+    def test_group_offsets(self):
+        z = demo_layout().groups["Z"]
+        assert (z.offset, z.size) == (6, 3)
 
 
 class TestAffinePencil:

@@ -32,7 +32,7 @@ def scalar_pencil(target):
 class TestTrivialInstances:
     def test_scalar_feasible(self):
         # p <= 1 with p >= eps: any small positive p works
-        prob = FeasibilityProblem(scalar_pencil(1.0), positivity=(("P", None),))
+        prob = FeasibilityProblem(scalar_pencil(1.0), positivity=("P",))
         res = solve(prob)
         assert res.status == FEASIBLE
         assert res.margin < 0
@@ -41,7 +41,7 @@ class TestTrivialInstances:
 
     def test_scalar_infeasible(self):
         # p <= -1 conflicts with p >= eps > 0
-        prob = FeasibilityProblem(scalar_pencil(-1.0), positivity=(("P", None),))
+        prob = FeasibilityProblem(scalar_pencil(-1.0), positivity=("P",))
         res = solve(prob)
         assert res.status == INFEASIBLE
 
@@ -53,7 +53,7 @@ class TestTrivialInstances:
             return linalg.brack(v["P"] @ a)
 
         prob = FeasibilityProblem(pencil_from_function(layout, blocks),
-                                  positivity=(("P", None),))
+                                  positivity=("P",))
         res = solve(prob)
         assert res.status == FEASIBLE
         assert linalg.is_pd(res.witness["P"], tol=0.0)[0]
@@ -61,19 +61,11 @@ class TestTrivialInstances:
     @pytest.mark.parametrize("box", [0.5, 0.05])
     def test_small_box_starts_inside(self, box):
         # p <= 0.1 with p >= eps: feasible points lie inside any box > eps
-        prob = FeasibilityProblem(scalar_pencil(0.1), positivity=(("P", None),),
+        prob = FeasibilityProblem(scalar_pencil(0.1), positivity=("P",),
                                   box=box)
         res = solve(prob)
         assert res.status == FEASIBLE
         assert 0 < res.witness["P"][0, 0] < min(0.1, box)
-
-    @pytest.mark.parametrize("eps", [2.0, 9.0])
-    def test_large_eps_starts_inside(self, eps):
-        # p <= 10 with p >= eps: feasible for any eps < 10
-        prob = FeasibilityProblem(scalar_pencil(10.0), positivity=(("P", eps),))
-        res = solve(prob)
-        assert res.status == FEASIBLE
-        assert eps <= res.witness["P"][0, 0] < 10.0
 
     def test_unstable_direction_infeasible(self):
         layout = VariableLayout([VariableLayout.sym("P", 1)])
@@ -83,14 +75,14 @@ class TestTrivialInstances:
             return linalg.brack(v["P"] @ a)
 
         prob = FeasibilityProblem(pencil_from_function(layout, blocks),
-                                  positivity=(("P", None),))
+                                  positivity=("P",))
         res = solve(prob)
         assert res.status == INFEASIBLE
 
 
 class TestContract:
     def test_determinism(self):
-        prob = FeasibilityProblem(scalar_pencil(1.0), positivity=(("P", None),))
+        prob = FeasibilityProblem(scalar_pencil(1.0), positivity=("P",))
         r1 = solve(prob)
         r2 = solve(prob)
         assert r1.status == r2.status
@@ -98,25 +90,26 @@ class TestContract:
         assert r1.iterations == r2.iterations
 
     def test_feasible_always_passes_audit(self):
-        prob = FeasibilityProblem(scalar_pencil(1.0), positivity=(("P", None),))
+        prob = FeasibilityProblem(scalar_pencil(1.0), positivity=("P",))
         res = solve(prob)
         report = audit(prob, res.witness, margin_min=SolveOptions().margin_min)
         assert report.satisfied
 
     def test_audit_rejects_tampered_witness(self):
-        prob = FeasibilityProblem(scalar_pencil(1.0), positivity=(("P", None),))
+        prob = FeasibilityProblem(scalar_pencil(1.0), positivity=("P",))
         report = audit(prob, {"P": np.array([[5.0]])})
         assert not report.satisfied
         assert report.pencil_lambda_max == pytest.approx(4.0)
 
     def test_audit_enforces_positivity(self):
-        prob = FeasibilityProblem(scalar_pencil(1.0), positivity=(("P", 0.5),))
-        assert audit(prob, {"P": np.array([[0.6]])}).satisfied
-        assert not audit(prob, {"P": np.array([[0.4]])}).satisfied
+        # P >= DEFAULT_EPS I = 1e-6 I
+        prob = FeasibilityProblem(scalar_pencil(1.0), positivity=("P",))
+        assert audit(prob, {"P": np.array([[2e-6]])}).satisfied
+        assert not audit(prob, {"P": np.array([[5e-7]])}).satisfied
 
     def test_margin_min_respected(self):
         # feasible region is p in [eps, 1]; demanding margin 2 is impossible
-        prob = FeasibilityProblem(scalar_pencil(1.0), positivity=(("P", None),))
+        prob = FeasibilityProblem(scalar_pencil(1.0), positivity=("P",))
         res = solve(prob, SolveOptions(margin_min=2.0))
         assert res.status != FEASIBLE
 
@@ -148,23 +141,20 @@ class TestContract:
 class TestStructure:
     def test_unknown_positivity_group(self):
         with pytest.raises(StructuralError):
-            FeasibilityProblem(scalar_pencil(1.0), positivity=(("Q", None),))
+            FeasibilityProblem(scalar_pencil(1.0), positivity=("Q",))
 
     def test_positivity_requires_sym_group(self):
         layout = VariableLayout([("Z", "mat", (1, 2))])
         pencil = AffinePencil(layout=layout, F0=-np.eye(2), basis=np.zeros((2, 2, 2)))
         with pytest.raises(StructuralError):
-            FeasibilityProblem(pencil, positivity=(("Z", None),))
+            FeasibilityProblem(pencil, positivity=("Z",))
 
-    def test_bad_eps(self):
+    @pytest.mark.parametrize("box", [solver.DEFAULT_EPS, 1e-7])
+    def test_eps_must_lie_below_the_box(self, box):
         # checked at construction, not first inside solve
         with pytest.raises(StructuralError):
-            FeasibilityProblem(scalar_pencil(1.0), positivity=(("P", -1.0),))
-
-    @pytest.mark.parametrize("eps", [1e4, 2e4])
-    def test_eps_must_lie_below_the_box(self, eps):
-        with pytest.raises(StructuralError):
-            FeasibilityProblem(scalar_pencil(1.0), positivity=(("P", eps),))
+            FeasibilityProblem(scalar_pencil(1.0), positivity=("P",), box=box)
+        FeasibilityProblem(scalar_pencil(1.0), box=box)
 
     def test_bad_box(self):
         with pytest.raises(StructuralError):
@@ -188,7 +178,7 @@ class TestGridOracleAgreement:
         pencil = AffinePencil(layout=layout, F0=f0, basis=np.array([g1, g2]))
         positivity = ()
         if kind == 0 and rng.random() < 0.5:
-            positivity = (("P", None),)
+            positivity = ("P",)
         return FeasibilityProblem(pencil, positivity=positivity, box=2.0)
 
     def test_agreement(self):
@@ -220,7 +210,7 @@ class TestFuzzNoFalseFeasible:
             f0 = random_sym(rng, dim, scale=float(rng.uniform(0.1, 3.0)))
             coeffs = [random_sym(rng, dim) for _ in range(n * (n + 1) // 2)]
             pencil = AffinePencil(layout=layout, F0=f0, basis=np.array(coeffs))
-            positivity = (("X", None),) if rng.random() < 0.5 else ()
+            positivity = ("X",) if rng.random() < 0.5 else ()
             prob = FeasibilityProblem(pencil, positivity=positivity, box=10.0)
             res = solve(prob, SolveOptions(max_iter=200))
             statuses.add(res.status)
@@ -237,7 +227,7 @@ def random_barrier_problem(rng, box):
     f0 = random_sym(rng, dim)
     coeffs = [random_sym(rng, dim) for _ in range(layout.size)]
     return FeasibilityProblem(AffinePencil(layout=layout, F0=f0, basis=np.array(coeffs)),
-                              positivity=(("X", None),), box=box)
+                              positivity=("X",), box=box)
 
 
 def interior_point(model, rng):
@@ -275,11 +265,8 @@ def dt_lip_problem(n_x, tag, seed=None):
     sys = random_lure(np.random.default_rng(1000 + n_x if seed is None else seed),
                       n_x, 2, 2, 2, "discrete", stable=True)
     spec = LmiSpec(tag, sys, Lipschitz(0.2, np.eye(2), np.eye(2)), 0.95)
-    if spec.is_analysis:
-        return FeasibilityProblem(
-            spec.build(Gains(np.zeros((2, n_x)), np.zeros((2, 2)))),
-            positivity=(("P", None),))
-    return FeasibilityProblem(spec.build(), positivity=(("W", None),))
+    return spec.problem(Gains(np.zeros((2, n_x)), np.zeros((2, 2)))
+                        if spec.is_analysis else None)
 
 
 class TestBarrierModel:
@@ -297,7 +284,8 @@ class TestBarrierModel:
             # a random direction, and one that moves only Z and lowers t, so
             # that only the box can stop it
             box_dz = np.zeros(model.nz)
-            box_dz[prob.pencil.layout.group_slice("Z")] = rng.normal(size=2)
+            z = prob.pencil.layout.groups["Z"]
+            box_dz[z.offset:z.offset + z.size] = rng.normal(size=2)
             box_dz[model.n] = -100.0
             for dz in (rng.normal(size=model.nz), box_dz):
                 alpha = 1.0 / np.max(model.ray_rates(pt, ys, dz))
@@ -404,7 +392,7 @@ class TestBarrierModel:
         # positive the line search could not start, and solve says why
         monkeypatch.setattr(solver._BarrierModel, "ray_rates",
                             lambda self, pt, ys, dz: -np.ones(3))
-        res = solve(FeasibilityProblem(scalar_pencil(1.0), positivity=(("P", None),)))
+        res = solve(FeasibilityProblem(scalar_pencil(1.0), positivity=("P",)))
         assert res.status == UNDETERMINED
         assert res.iterations == 1
         assert "no finite positive rate" in res.diagnostics["reason"]
