@@ -1,14 +1,16 @@
 """Closed-loop trajectory simulation and empirical contraction measurement.
 
 Discrete-time systems are iterated exactly as written; continuous-time
-systems use classical fixed-step fourth-order integration.  Contraction is
-measured on trajectory pairs through the weighted distance ||.||_P.
+systems use classical fixed-step fourth-order integration.  Both run one
+stepping loop over a stack of initial states, and a sweep of several
+nonlinearities is one such stack.  Contraction is measured on trajectory
+pairs through the weighted distance ||.||_P.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -58,28 +60,60 @@ class Trajectory:
         object.__setattr__(self, "states", x)
 
 
+def _checked_once(psi: NonlinearFn, shape: tuple):
+    """psi for a loop of calls on stacks of one size, whose outputs must have
+    ``shape``.  The first call goes through ``NonlinearFn.__call__`` and all
+    its checks.  If psi is declared vectorized and that output was a float
+    ndarray, later calls call ``psi.fn`` directly.  Every call compares the
+    output's shape, so no wrong-shaped output broadcasts on."""
+
+    def first(y):
+        nonlocal evaluate
+        raw = psi.fn(y)
+        out = replace(psi, fn=lambda _: raw)(y)  # checks raw, no second call
+        evaluate = psi.fn if type(raw) is np.ndarray and raw.dtype == float else psi
+        return out
+
+    evaluate = first if psi.vectorized else psi
+
+    def call(y):
+        out = evaluate(y)
+        if out.shape != shape:
+            raise linalg.DimensionError(f"evaluator returned shape {out.shape}, expected {shape}")
+        return out
+
+    return call
+
+
 def _simulate(cl: ClosedLoop, psi: NonlinearFn, x0, times: np.ndarray, step) -> Trajectory:
     """The stepping loop of both simulators: X(k+1) = step(f, X(k)) on the
     grid ``times`` for the (N, n_x) stack of states X, where
-    f(X) = X A_cl^T + psi(X C^T) B_cl^T.  One x0 is a stack of one."""
+    f(X) = X A_cl^T + psi(X C^T) B_cl^T and both products are one
+    X [A_cl^T | C^T].  psi is checked in full on the first stage only (see
+    ``_checked_once``).  One x0 is a stack of one."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.ndim > 2 or x0.shape[-1:] != (cl.n_x,):
         raise linalg.DimensionError(
             f"x0 has shape {x0.shape}, expected ({cl.n_x},) or (N, {cl.n_x})")
+    n = cl.n_x
+    ac = np.hstack([cl.A_cl.T, cl.C.T])
+    b = cl.B_cl.T
+    x = x0.reshape(-1, n)
+    psi_of = _checked_once(psi, (len(x), cl.n_psi))
     evals = 0
 
     def f(x):
         nonlocal evals
         evals += 1
-        return x @ cl.A_cl.T + psi(x @ cl.C.T) @ cl.B_cl.T
+        xy = x @ ac
+        return xy[:, :n] + psi_of(xy[:, n:]) @ b
 
-    x = x0.reshape(-1, cl.n_x)
     states = np.empty((len(times),) + x0.shape)
     states[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):  # DivergenceError reports it
         for k in range(1, len(times)):
             x = step(f, x)
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise DivergenceError(k)
             states[k] = x.reshape(x0.shape)
     return Trajectory(times=times, states=states, domain=cl.domain, psi_evaluations=evals)
@@ -186,19 +220,36 @@ class CertifyReport:
 def sweep_pairs(cl: ClosedLoop, psis: Iterable[NonlinearFn], pairs, p,
                 steps: int = 10, t_end: float = 10.0, dt: float = 1e-3):
     """Simulate both trajectories of each initial pair under each psi and
-    measure their contraction under ||.||_P.  All trajectories of one psi
-    are one stacked simulation.
+    measure their contraction under ||.||_P.
 
-    Yields (psi, pair index, trajectory a, trajectory b, RateReport).
+    The whole sweep is one stacked simulation: the initial states are tiled
+    psi-major, and one vectorized evaluator calls psi j on block j of the
+    stack.  It is simulated in full before the first yield, so a divergence
+    under any psi raises before any result, at the first step at which any
+    trajectory of the sweep diverges.
+
+    Yields (psi, pair index, trajectory a, trajectory b, RateReport), psi by
+    psi and pair by pair.
     """
     sim, grid = (simulate_dt, (steps,)) if cl.domain == DISCRETE else (simulate_ct, (t_end, dt))
+    psis = list(psis)
     x0 = np.array([x for pair in pairs for x in pair], dtype=float)
-    if not len(x0):
+    rows = len(x0)
+    if not rows or not psis:
         return
-    for psi in psis:
-        stack = sim(cl, psi, x0, *grid)
-        trajs = [Trajectory(stack.times, stack.states[:, j], stack.domain,
-                            stack.psi_evaluations) for j in range(len(x0))]
+    calls = [_checked_once(psi, (rows, cl.n_psi)) for psi in psis]
+    values = np.empty((len(psis) * rows, cl.n_psi))
+
+    def blocks(y):
+        for j, call in enumerate(calls):
+            values[j * rows:(j + 1) * rows] = call(y[j * rows:(j + 1) * rows])
+        return values
+
+    stack = sim(cl, NonlinearFn(fn=blocks, n_y=cl.n_y, n_psi=cl.n_psi, vectorized=True),
+                np.concatenate([x0] * len(psis)), *grid)
+    for j, psi in enumerate(psis):
+        trajs = [Trajectory(stack.times, stack.states[:, j * rows + m], stack.domain,
+                            stack.psi_evaluations) for m in range(rows)]
         for i, (ta, tb) in enumerate(zip(trajs[::2], trajs[1::2])):
             yield psi, i, ta, tb, rate_estimate(ta, tb, p)
 

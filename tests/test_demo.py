@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from lurecert import solver
 from lurecert.demo import (
     ENERGY_RATIO_TOL,
     EXPECTED_K,
@@ -35,6 +36,13 @@ class TestRunDemo:
     def test_tampered_plant_detected(self):
         bad_a = np.array([[1.4, 0.0, 0.0], [0.1, 0.8, 0.0], [0.0, 0.1, 0.6]])
         summary = run_demo(data=dataclasses.replace(DemoData(), A=bad_a))
+        assert not summary.ok
+
+    def test_ok_follows_the_audit_floor(self, monkeypatch):
+        # a positivity floor above W's lambda_min of 0.05 fails the witness
+        monkeypatch.setattr(solver, "DEFAULT_EPS", 0.1)
+        summary = run_demo()
+        assert summary.witness_w_lambda_min == pytest.approx(0.05)
         assert not summary.ok
 
     def test_artifacts(self, tmp_path):

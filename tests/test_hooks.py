@@ -85,8 +85,16 @@ def test_certify_reaches_simulate_through_module_globals(monkeypatch, domain, si
     sims = count_calls(monkeypatch, simulate, simulator)
     rates = count_calls(monkeypatch, simulate, "rate_estimate")
     certify(domain)
-    assert len(sims) == 2  # one stacked simulation per psi
+    assert len(sims) == 1  # one stacked simulation per sweep
     assert len(rates) == 2
+
+
+def test_cli_simulate_is_one_stacked_simulation(monkeypatch, tmp_path):
+    sims = count_calls(monkeypatch, simulate, "simulate_dt")
+    problem = dict(REFERENCE_PROBLEM, builtin_psi=["paper1", "paper2"])
+    assert cli.main(["simulate", write_problem(tmp_path, problem), "--steps", "5",
+                     "--out", str(tmp_path / "report.json"), "--quiet"]) == 0
+    assert len(sims) == 1
 
 
 def test_cli_reaches_its_layers_through_module_globals(monkeypatch, tmp_path):

@@ -173,6 +173,80 @@ class TestStackedSimulation:
                                             (np.array([0.3]), np.array([2.0]))],
                              np.eye(1), steps=20))
 
+    @pytest.mark.parametrize("domain", [DISCRETE, CONTINUOUS])
+    def test_mixed_sweep_matches_one_run_per_initial_state(self, domain):
+        # declared builtins and a psi called row by row share one stack
+        cl = self.loops()[domain == CONTINUOUS]
+        grid = {"steps": 30} if domain == DISCRETE else {"t_end": 0.3, "dt": 1e-2}
+        sim = simulate_dt if domain == DISCRETE else simulate_ct
+        undeclared = NonlinearFn(fn=lambda y: np.array([0.4 * np.sin(y[0] - y[1])]),
+                                 n_y=2, n_psi=1, name="undeclared")
+        psis = [paper_psi(2), undeclared, zero_psi(2, 1), paper_psi(3)]
+        pairs = random_pairs(3, seed=4, n_pairs=2)
+        seen = []
+        for psi, i, ta, tb, _ in sweep_pairs(cl, psis, pairs, np.eye(3), **grid):
+            for traj, x0 in ((ta, pairs[i][0]), (tb, pairs[i][1])):
+                one = sim(cl, psi, x0, *grid.values())
+                np.testing.assert_allclose(traj.states, one.states, rtol=1e-13,
+                                           atol=1e-13 * np.abs(one.states).max())
+                assert traj.psi_evaluations == one.psi_evaluations
+            seen.append((psi.name, i))
+        assert seen == [(psi.name, i) for psi in psis for i in range(len(pairs))]
+
+    @pytest.mark.parametrize("domain", [DISCRETE, CONTINUOUS])
+    def test_diverging_psi_raises_before_any_result(self, domain):
+        # x -> 0.5 x + x^2 (DT) and xdot = -0.5 x + x^2 (CT) blow up from 2.0;
+        # with psi = 0 the same loop settles
+        cl = ClosedLoop(A_cl=np.array([[0.5 if domain == DISCRETE else -0.5]]),
+                        B_cl=np.array([[1.0]]), C=np.eye(1), domain=domain)
+        grid = {"steps": 20} if domain == DISCRETE else {"t_end": 2.0, "dt": 1e-2}
+        sim = simulate_dt if domain == DISCRETE else simulate_ct
+        square = NonlinearFn(fn=lambda y: y ** 2, n_y=1, n_psi=1, vectorized=True)
+        pairs = [(np.array([0.1]), np.array([-0.2])), (np.array([0.3]), np.array([2.0]))]
+        with pytest.raises(DivergenceError) as own:
+            sim(cl, square, np.array([x for pair in pairs for x in pair]), *grid.values())
+        results = []
+        with pytest.raises(DivergenceError) as swept:
+            for result in sweep_pairs(cl, [zero_psi(1, 1), square], pairs, np.eye(1),
+                                      **grid):
+                results.append(result)
+        assert swept.value.step == own.value.step
+        assert results == []
+
+    @pytest.mark.parametrize("domain", [DISCRETE, CONTINUOUS])
+    def test_wrong_shaped_psi_raises(self, domain):
+        cl = self.loops()[domain == CONTINUOUS]
+        grid = {"steps": 5} if domain == DISCRETE else {"t_end": 0.05, "dt": 1e-2}
+        pairs = random_pairs(3, seed=5, n_pairs=2)
+        identity = NonlinearFn(fn=lambda y: y, n_y=2, n_psi=1, vectorized=True)
+        with pytest.raises(linalg.DimensionError,
+                           match=r"evaluator returned shape \(4, 2\), expected \(4, 1\)"):
+            list(sweep_pairs(cl, [paper_psi(1), identity], pairs, np.eye(3), **grid))
+        calls = []
+
+        def shrinking(y):
+            # right on the checked first stage, then one row that would broadcast
+            calls.append(1)
+            return y[:, :1] if len(calls) == 1 else y[:1, :1]
+
+        late = NonlinearFn(fn=shrinking, n_y=2, n_psi=1, vectorized=True)
+        with pytest.raises(linalg.DimensionError,
+                           match=r"evaluator returned shape \(1, 1\), expected \(4, 1\)"):
+            list(sweep_pairs(cl, [late, paper_psi(2)], pairs, np.eye(3), **grid))
+        assert len(calls) == 2
+
+    def test_declared_psi_without_float_arrays_stays_checked(self):
+        # lists and int arrays are converted on every stage, as NonlinearFn does
+        cl, _ = self.loops()
+        x0 = np.random.default_rng(6).uniform(-1.0, 1.0, (4, 3))
+        ref = simulate_dt(cl, NonlinearFn(fn=lambda y: np.round(4 * y[:, :1]), n_y=2,
+                                          n_psi=1, vectorized=True), x0, steps=8)
+        for fn in (lambda y: np.round(4 * y[:, :1]).tolist(),
+                   lambda y: np.round(4 * y[:, :1]).astype(int)):
+            traj = simulate_dt(cl, NonlinearFn(fn=fn, n_y=2, n_psi=1, vectorized=True),
+                               x0, steps=8)
+            assert np.array_equal(traj.states, ref.states)
+
 
 class TestRateEstimate:
     def geometric_pair(self, r, steps=8):
