@@ -28,6 +28,7 @@ from .model import (
     NonlinearityClass,
     SectorBounded,
     close_loop,
+    recover_gains,
 )
 from .pencil import AffinePencil, VariableLayout, pencil_from_function
 from .solver import FeasibilityProblem
@@ -337,13 +338,28 @@ def auto_tag(system: LureSystem, nc: NonlinearityClass, analysis: bool) -> str:
                 == (system.domain, cls, bool(analysis)))
 
 
-def analysis_margin(spec: LmiSpec, gains: Gains, p) -> float:
-    """lambda_max of the analysis form matching ``spec`` at P = ``p`` for the
-    loop closed with ``gains``: the re-audit of a synthesis result at P = W^{-1}.
-    By the change of variables (Boyd et al., 1994) it is negative whenever a
-    grid synthesis form holds strictly at W; the conservative form has no such
-    guarantee."""
-    tag = auto_tag(spec.system, spec.nonlinearity, analysis=True)
-    a_spec = LmiSpec(tag=tag, system=spec.system, nonlinearity=spec.nonlinearity,
-                     eta=spec.eta)
-    return float(linalg.eigvals_sym(a_spec.build(gains).evaluate({"P": p}))[-1])
+class CertifiedGains(NamedTuple):
+    """Gains recovered from a synthesis witness, P = W^{-1}, and their re-audit."""
+
+    gains: Gains
+    P: np.ndarray
+    analysis_margin: float  # lambda_max of the matching analysis form at P
+    certified: bool         # analysis_margin < 0
+
+
+def certify_gains(spec: LmiSpec, witness: dict) -> CertifiedGains:
+    """Recover K = Z W^{-1} from a synthesis witness (W, Z, K_psi) of ``spec``,
+    with K_psi = 0 when the form has none, and re-audit the gains:
+    ``analysis_margin`` is lambda_max of the matching analysis form at
+    P = W^{-1} for the loop closed with them.  By the change of variables
+    (Boyd et al., 1994) it is negative whenever a grid synthesis form holds
+    strictly at W; the conservative form has no such guarantee.  Raises
+    ``linalg.SingularMatrixError`` when W cannot be inverted."""
+    m = spec.system
+    gains = recover_gains(witness["W"], witness["Z"],
+                          witness.get("K_psi", np.zeros((m.n_u, m.n_psi))))
+    p = linalg.inverse(witness["W"])
+    a_spec = LmiSpec(tag=auto_tag(m, spec.nonlinearity, analysis=True), system=m,
+                     nonlinearity=spec.nonlinearity, eta=spec.eta)
+    margin = float(linalg.eigvals_sym(a_spec.build(gains).evaluate({"P": p}))[-1])
+    return CertifiedGains(gains, p, margin, margin < 0)

@@ -3,8 +3,10 @@
 Subcommands: analyze, synthesize, simulate, check, demo-paper.  Exit codes
 are a stable contract: 0 success/feasible/no-violation, 1 usage or
 schema/IO error, 2 negative finding (infeasible, violated, reproduction
-mismatch, diverging trajectory), 3 undetermined.  Commands raise on every
-failure and only `main` maps exceptions to exit codes.
+mismatch, diverging trajectory), 3 undetermined.  Each command returns
+(status, payload) and raises on every failure; only `main` loads the
+problem, writes the report and maps statuses (through `EXIT_CODES`) and
+exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -18,25 +20,38 @@ import time
 import numpy as np
 
 from . import __version__, linalg
-from .catalog import ALL_TAGS, LmiSpec, analysis_margin, auto_tag
+from .catalog import ALL_TAGS, LmiSpec, auto_tag, certify_gains
 from .demo import run_demo
-from .model import DISCRETE, Lipschitz, Monotone, SectorBounded, close_loop, recover_gains
+from .model import Lipschitz, Monotone, SectorBounded, close_loop
 from .nonlin import (
+    NO_VIOLATION,
+    VIOLATED,
     SampleScheme,
     check_lipschitz_incremental,
     check_monotone,
     check_sector_incremental,
 )
-from .problemio import build_report, jsonable, load_pairs, load_problem, write_report
+from .problemio import build_report, load_pairs, load_problem, write_report
 from .psilib import get_builtin
-from .simulate import DivergenceError, random_pairs, sweep_pairs, write_trajectory_csv
+from .simulate import DivergenceError, random_pairs, sweep_pairs, write_trajectories
 from .solver import FEASIBLE, INFEASIBLE, UNDETERMINED, SolveOptions, solve
-from .svgplot import Series, write_line_plot
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
 EXIT_UNDETERMINED = 3
+
+# the statuses of `simulate` and `demo-paper`; the other commands report the
+# solver's verdict or the checker's
+OK = "ok"
+MISMATCH = "mismatch"
+
+# the exit code of every status a command returns
+EXIT_CODES = {
+    FEASIBLE: EXIT_OK, NO_VIOLATION: EXIT_OK, OK: EXIT_OK,
+    INFEASIBLE: EXIT_NEGATIVE, VIOLATED: EXIT_NEGATIVE, MISMATCH: EXIT_NEGATIVE,
+    UNDETERMINED: EXIT_UNDETERMINED,
+}
 
 SEED_ENV = "LURE_CONTRACT_SEED"
 
@@ -48,7 +63,11 @@ class UsageError(ValueError):
 def _default_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get(SEED_ENV, "0"))
+    text = os.environ.get(SEED_ENV, "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{SEED_ENV} must be an integer, got {text!r}") from None
 
 
 def _solve_options(problem, args) -> SolveOptions:
@@ -56,24 +75,6 @@ def _solve_options(problem, args) -> SolveOptions:
     if args.margin_min is not None:
         opts["margin_min"] = args.margin_min
     return SolveOptions(**opts)
-
-
-def _emit(args, command, digest, status, payload, t0):
-    """Build the report, write it to --out if given and print it unless --quiet."""
-    doc = build_report(command, digest, status, payload,
-                       time.perf_counter() - t0, __version__)
-    if args.out:
-        write_report(args.out, doc)
-    if not args.quiet:
-        print(json.dumps(doc, indent=2))
-
-
-def _status_exit(status: str) -> int:
-    if status == FEASIBLE:
-        return EXIT_OK
-    if status == INFEASIBLE:
-        return EXIT_NEGATIVE
-    return EXIT_UNDETERMINED
 
 
 def _spec(problem, tag: str, analysis: bool) -> LmiSpec:
@@ -98,12 +99,10 @@ def _solve_analysis(problem, args, spec: LmiSpec):
     return solve(spec.problem(problem.gains), _solve_options(problem, args))
 
 
-def cmd_analyze(args) -> int:
-    t0 = time.perf_counter()
-    problem = load_problem(args.problem)
+def cmd_analyze(args, problem):
     spec = _spec(problem, args.theorem, analysis=True)
     result = _solve_analysis(problem, args, spec)
-    payload = {
+    return result.status, {
         "theorem": spec.tag,
         "eta": problem.eta,
         "P": result.witness.get("P"),
@@ -111,13 +110,9 @@ def cmd_analyze(args) -> int:
         "positivity_margins": result.positivity_margins,
         "iterations": result.iterations,
     }
-    _emit(args, "analyze", problem.digest, result.status, payload, t0)
-    return _status_exit(result.status)
 
 
-def cmd_synthesize(args) -> int:
-    t0 = time.perf_counter()
-    problem = load_problem(args.problem)
+def cmd_synthesize(args, problem):
     spec = _spec(problem, args.theorem, analysis=False)
     result = solve(spec.problem(), _solve_options(problem, args))
     payload = {
@@ -126,43 +121,39 @@ def cmd_synthesize(args) -> int:
         "margin": result.margin,
         "iterations": result.iterations,
     }
-    status = result.status
-    if status == FEASIBLE:
-        w = result.witness["W"]
-        k_psi = result.witness.get("K_psi", np.zeros((problem.system.n_u,
-                                                      problem.system.n_psi)))
-        payload["W"] = w
-        try:
-            gains = recover_gains(w, result.witness["Z"], k_psi)
-            p = linalg.inverse(w)
-        except linalg.SingularMatrixError as exc:
-            # no gains can be recovered, so nothing is certified
-            status = UNDETERMINED
-            payload["reason"] = f"cannot recover K = Z W^{{-1}}: {exc}"
-        else:
-            payload["K"] = gains.K
-            payload["K_psi"] = gains.K_psi
-            payload["P"] = p
-            payload["analysis_margin"] = analysis_margin(spec, gains, p)
-            if payload["analysis_margin"] >= 0:
-                # the gains fail the matching analysis form: nothing is certified
-                status = UNDETERMINED
-                payload["reason"] = ("the analysis re-audit at P = W^{-1} fails: "
-                                     "analysis_margin >= 0")
-    _emit(args, "synthesize", problem.digest, status, payload, t0)
-    return _status_exit(status)
+    if result.status != FEASIBLE:
+        return result.status, payload
+    payload["W"] = result.witness["W"]
+    try:
+        design = certify_gains(spec, result.witness)
+    except linalg.SingularMatrixError as exc:
+        # no gains can be recovered, so nothing is certified
+        payload["reason"] = f"cannot recover K = Z W^{{-1}}: {exc}"
+        return UNDETERMINED, payload
+    payload.update(K=design.gains.K, K_psi=design.gains.K_psi, P=design.P,
+                   analysis_margin=design.analysis_margin)
+    if design.certified:
+        return FEASIBLE, payload
+    # the gains fail the matching analysis form: nothing is certified
+    payload["reason"] = "the analysis re-audit at P = W^{-1} fails: analysis_margin >= 0"
+    return UNDETERMINED, payload
 
 
 def _psi_for_problem(problem, name: str):
+    """The builtin psi ``name``, sized for the problem's system."""
+    m = problem.system
     try:
-        return get_builtin(name, n_y=problem.system.n_y, n_psi=problem.system.n_psi)
+        psi = get_builtin(name, n_y=m.n_y, n_psi=m.n_psi)
     except KeyError as exc:
         raise UsageError(exc.args[0]) from exc
+    if (psi.n_y, psi.n_psi) != (m.n_y, m.n_psi):
+        raise UsageError(f"builtin psi {name!r} maps n_y = {psi.n_y} to n_psi = "
+                         f"{psi.n_psi}, but the system has n_y = {m.n_y} and "
+                         f"n_psi = {m.n_psi}")
+    return psi
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
-    problem = load_problem(args.problem)
+def cmd_simulate(args, problem):
     grid = {**problem.simulation_options,
             **{k: getattr(args, k) for k in ("steps", "t_end", "dt")
                if getattr(args, k) is not None}}
@@ -174,49 +165,22 @@ def cmd_simulate(args) -> int:
     result = _solve_analysis(problem, args, _spec(problem, "auto", analysis=True))
     p = result.witness["P"] if result.status == FEASIBLE else np.eye(problem.system.n_x)
 
-    cl = close_loop(problem.system, problem.gains)
-    rate_rows = []
-    series = []
-    palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
-    max_ratio = -np.inf
-    max_energy = -np.inf
-    sweep = sweep_pairs(cl, psis, pairs, p, **grid)
-    for n, (psi, qi, t1, t2, rep) in enumerate(sweep):
-        max_ratio = max(max_ratio, rep.max_ratio)
-        max_energy = max(max_energy, rep.max_energy_ratio)
-        rate_rows.append({"psi": psi.name, "pair": qi,
-                          "max_ratio": rep.max_ratio,
-                          "max_energy_ratio": rep.max_energy_ratio})
-        if args.csv:
-            os.makedirs(args.csv, exist_ok=True)
-            write_trajectory_csv(
-                t1, os.path.join(args.csv, f"{psi.name}_pair{qi}_a.csv"))
-            write_trajectory_csv(
-                t2, os.path.join(args.csv, f"{psi.name}_pair{qi}_b.csv"))
-        color = palette[n // len(pairs) % len(palette)]  # one colour per psi
-        series.append(Series(x=t1.times, y=t1.states[:, 0], color=color,
-                             dashed=False, label=f"{psi.name} a"))
-        series.append(Series(x=t2.times, y=t2.states[:, 0], color=color,
-                             dashed=True, label=f"{psi.name} b"))
-    if args.plot:
-        write_line_plot(args.plot, series, title="First state trajectories",
-                        xlabel="k" if problem.system.domain == DISCRETE else "t",
-                        ylabel="x1")
-    payload = {
+    rows = list(sweep_pairs(close_loop(problem.system, problem.gains), psis, pairs, p,
+                            **grid))
+    write_trajectories(rows, args.csv, args.plot, "{psi}_pair{pair}_{member}.csv")
+    return OK, {
         "certificate_status": result.status,
         "P": p,
         "eta": problem.eta,
-        "rates": rate_rows,
-        "max_ratio": float(max_ratio),
-        "max_energy_ratio": float(max_energy),
+        "rates": [{"psi": psi.name, "pair": i, "max_ratio": rep.max_ratio,
+                   "max_energy_ratio": rep.max_energy_ratio}
+                  for psi, i, _, _, rep in rows],
+        "max_ratio": max(rep.max_ratio for *_, rep in rows),
+        "max_energy_ratio": max(rep.max_energy_ratio for *_, rep in rows),
     }
-    _emit(args, "simulate", problem.digest, "ok", payload, t0)
-    return EXIT_OK
 
 
-def cmd_check(args) -> int:
-    t0 = time.perf_counter()
-    problem = load_problem(args.problem)
+def cmd_check(args, problem):
     psi = _psi_for_problem(problem, args.psi)
     sch = SampleScheme(count=args.samples, seed=_default_seed(args))
     nc = problem.nonlinearity
@@ -228,20 +192,18 @@ def cmd_check(args) -> int:
         report = check_monotone(psi, nc.gamma, sch)
     else:  # pragma: no cover
         raise TypeError(f"unknown nonlinearity class {type(nc)}")
-    payload = {
+    return report.verdict, {
         "psi": psi.name,
         "verdict": report.verdict,
         "worst_margin": report.worst_margin,
         "samples": report.samples_used,
         "witness": [np.asarray(w) for w in report.witness] if report.witness else None,
     }
-    _emit(args, "check", problem.digest, report.verdict, payload, t0)
-    return EXIT_NEGATIVE if report.violated else EXIT_OK
 
 
-def cmd_demo_paper(args) -> int:
-    summary = run_demo(out_dir=args.out or "demo-out")
-    payload = {
+def cmd_demo_paper(args, problem):
+    summary = run_demo(out_dir=args.out_dir or "demo-out")
+    return (OK if summary.ok else MISMATCH), {
         "witness_lambda_max": summary.witness_lambda_max,
         "K": summary.gains.K,
         "K_psi": summary.gains.K_psi,
@@ -251,9 +213,6 @@ def cmd_demo_paper(args) -> int:
         "per_psi_max_energy": summary.per_psi_max_energy,
         "ok": summary.ok,
     }
-    if not args.quiet:
-        print(json.dumps(jsonable(payload), indent=2))
-    return EXIT_OK if summary.ok else EXIT_NEGATIVE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,17 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
                             help=f"RNG seed (default: ${SEED_ENV} or 0)")
         sp.add_argument("--quiet", action="store_true")
 
-    sp = sub.add_parser("analyze", help="verify a contraction certificate exists")
-    common(sp)
-    sp.add_argument("--theorem", default="auto", choices=("auto",) + ALL_TAGS)
-    sp.add_argument("--margin-min", type=float, default=None)
-    sp.set_defaults(fn=cmd_analyze)
-
-    sp = sub.add_parser("synthesize", help="design contracting controller gains")
-    common(sp)
-    sp.add_argument("--theorem", default="auto", choices=("auto",) + ALL_TAGS)
-    sp.add_argument("--margin-min", type=float, default=None)
-    sp.set_defaults(fn=cmd_synthesize)
+    for name, fn, about in (
+            ("analyze", cmd_analyze, "verify a contraction certificate exists"),
+            ("synthesize", cmd_synthesize, "design contracting controller gains")):
+        sp = sub.add_parser(name, help=about)
+        common(sp)
+        sp.add_argument("--theorem", default="auto", choices=("auto",) + ALL_TAGS)
+        sp.add_argument("--margin-min", type=float, default=None)
+        sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("simulate", help="simulate trajectories and measure rates")
     common(sp, seed=True)
@@ -302,10 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("demo-paper",
                         help="run the bundled reference example end to end")
-    sp.add_argument("--out", help="directory for the trajectory CSVs and the SVG "
-                                  "plot (default: demo-out)")
+    # its --out is the artifact directory, not a report path; it takes no problem
+    sp.add_argument("--out", dest="out_dir", metavar="DIR",
+                    help="directory for the trajectory CSVs and the SVG plot "
+                         "(default: demo-out)")
     sp.add_argument("--quiet", action="store_true")
-    sp.set_defaults(fn=cmd_demo_paper)
+    sp.set_defaults(fn=cmd_demo_paper, problem=None, out=None)
     return p
 
 
@@ -320,7 +278,16 @@ def main(argv=None) -> int:
         # argparse exits 2 on a bad command line; 2 is a negative finding here
         return EXIT_USAGE if exc.code == 2 else exc.code
     try:
-        return args.fn(args)
+        t0 = time.perf_counter()
+        problem = None if args.problem is None else load_problem(args.problem)
+        status, payload = args.fn(args, problem)
+        doc = build_report(args.command, problem and problem.digest, status,
+                           payload, time.perf_counter() - t0, __version__)
+        if args.out:
+            write_report(args.out, doc)
+        if not args.quiet:
+            print(json.dumps(doc, indent=2))
+        return EXIT_CODES[status]
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE

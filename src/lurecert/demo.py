@@ -13,13 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
-from .catalog import DT_LIP_SYNTHESIS, LmiSpec, analysis_margin
-from .model import DISCRETE, Gains, Lipschitz, LureSystem, close_loop, recover_gains
+from .catalog import DT_LIP_SYNTHESIS, LmiSpec, certify_gains
+from .model import DISCRETE, Gains, Lipschitz, LureSystem, close_loop
 from .psilib import paper_psi
-from .simulate import sweep_pairs, write_trajectory_csv
+from .simulate import sweep_pairs, write_trajectories
 from .solver import audit
-from .svgplot import Series, write_line_plot
 
 # Golden values for the reproduction run.
 EXPECTED_K = np.array([[-6.0, -0.6, 1.5]])
@@ -75,75 +73,51 @@ class DemoSummary:
 def run_demo(out_dir=None, data: DemoData = None) -> DemoSummary:
     """Run the full reproduction pipeline and assert the golden numbers.
 
-    Steps: audit the published witness, recover K, re-check the analysis
-    inequality at P = W^{-1}, simulate all three nonlinearities from the
-    two stored initial states, and (optionally) emit trajectory CSVs plus
-    a static SVG of the first state.
+    Steps: audit the published witness, recover K and re-check the analysis
+    inequality at P = W^{-1} (``catalog.certify_gains``), simulate all three
+    nonlinearities from the two stored initial states, and (optionally)
+    emit trajectory CSVs plus a static SVG of the first state.
     """
     data = data or DemoData()
     sys = data.system()
-    nc = data.lipschitz()
 
     # 1. published witness satisfies the synthesis inequality
-    spec = LmiSpec(tag=DT_LIP_SYNTHESIS, system=sys, nonlinearity=nc, eta=data.eta)
-    prob = spec.problem()
+    spec = LmiSpec(tag=DT_LIP_SYNTHESIS, system=sys, nonlinearity=data.lipschitz(),
+                   eta=data.eta)
     witness = {"W": data.W, "Z": data.Z, "K_psi": data.K_psi}
-    report = audit(prob, witness, margin_min=-WITNESS_LMAX_TOL)
-    w_lmin = report.positivity_lambda_min["W"]
+    report = audit(spec.problem(), witness, margin_min=-WITNESS_LMAX_TOL)
 
-    # 2. gain recovery
-    gains = recover_gains(data.W, data.Z, data.K_psi)
+    # 2. gain recovery and the matching analysis inequality at P = W^{-1}
+    design = certify_gains(spec, witness)
 
-    # 3. the matching analysis inequality holds at P = W^{-1}
-    p = linalg.inverse(data.W)
-    a_lmax = analysis_margin(spec, gains, p)
-
-    # 4. trajectories and observed contraction
-    cl = close_loop(sys, gains)
-    psis = [paper_psi(idx) for idx in (1, 2, 3)]
+    # 3. trajectories and observed contraction
     x0a, x0b = (np.array(v) for v in data.x0_pair)
-    per_psi = {}
-    max_energy = -np.inf
-    max_ratio = -np.inf
-    trajectories = []
-    sweep = sweep_pairs(cl, psis, [(x0a, x0b)], p, steps=data.steps)
-    for psi, _, t1, t2, rep in sweep:
-        per_psi[psi.name] = rep.max_energy_ratio
-        max_energy = max(max_energy, rep.max_energy_ratio)
-        max_ratio = max(max_ratio, rep.max_ratio)
-        trajectories.append((psi.name, t1, t2))
+    rows = list(sweep_pairs(close_loop(sys, design.gains),
+                            [paper_psi(idx) for idx in (1, 2, 3)],
+                            [(x0a, x0b)], design.P, steps=data.steps))
+    per_psi = {psi.name: rep.max_energy_ratio for psi, _, _, _, rep in rows}
+    max_energy = max(rep.max_energy_ratio for *_, rep in rows)
+    max_ratio = max(rep.max_ratio for *_, rep in rows)
 
     ok = (
         report.satisfied
-        and np.allclose(gains.K, EXPECTED_K, atol=1e-10)
+        and design.certified
+        and np.allclose(design.gains.K, EXPECTED_K, atol=1e-10)
         and abs(max_energy - EXPECTED_MAX_ENERGY_RATIO) <= ENERGY_RATIO_TOL
         and max_ratio <= data.eta
     )
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        series = []
-        colors = {"paper1": "#1f77b4", "paper2": "#d62728", "paper3": "#2ca02c"}
-        for name, t1, t2 in trajectories:
-            write_trajectory_csv(t1, os.path.join(out_dir, f"{name}_x0a.csv"))
-            write_trajectory_csv(t2, os.path.join(out_dir, f"{name}_x0b.csv"))
-            series.append(Series(x=t1.times, y=t1.states[:, 0],
-                                 color=colors[name], dashed=False,
-                                 label=f"{name} (x0 a)"))
-            series.append(Series(x=t2.times, y=t2.states[:, 0],
-                                 color=colors[name], dashed=True,
-                                 label=f"{name} (x0 b)"))
-        write_line_plot(os.path.join(out_dir, "trajectories_x1.svg"), series,
-                        title="First state trajectories", xlabel="k",
-                        ylabel="x1")
+        write_trajectories(rows, out_dir, os.path.join(out_dir, "trajectories_x1.svg"),
+                           "{psi}_x0{member}.csv")
 
     return DemoSummary(
         witness_lambda_max=report.pencil_lambda_max,
-        witness_w_lambda_min=w_lmin,
-        gains=gains,
-        analysis_lambda_max=a_lmax,
-        max_energy_ratio=float(max_energy),
-        max_ratio=float(max_ratio),
+        witness_w_lambda_min=report.positivity_lambda_min["W"],
+        gains=design.gains,
+        analysis_lambda_max=design.analysis_margin,
+        max_energy_ratio=max_energy,
+        max_ratio=max_ratio,
         per_psi_max_energy=per_psi,
         ok=ok,
     )

@@ -225,20 +225,20 @@ def load_pairs(path) -> list:
     return [(np.array(a, dtype=float), np.array(b, dtype=float)) for a, b in doc]
 
 
-def jsonable(obj):
+def _jsonable(obj):
     """``obj`` with numpy arrays and scalars turned into JSON types."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
+        return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+        return [_jsonable(v) for v in obj]
     return obj
 
 
-def build_report(command: str, digest: str, status: str, payload: dict,
+def build_report(command: str, digest: str | None, status: str, payload: dict,
                  wall_time: float, version: str) -> dict:
     """The machine-readable result document, in JSON types."""
     return {
@@ -247,7 +247,7 @@ def build_report(command: str, digest: str, status: str, payload: dict,
         "status": status,
         "tool_version": version,
         "wall_time_seconds": wall_time,
-        **jsonable(payload),
+        **_jsonable(payload),
     }
 
 

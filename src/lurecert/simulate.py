@@ -10,6 +10,7 @@ pairs through the weighted distance ||.||_P.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
@@ -17,6 +18,10 @@ import numpy as np
 
 from . import linalg
 from .model import ClosedLoop, CONTINUOUS, DISCRETE, Gains, LureSystem, NonlinearFn, close_loop
+from .svgplot import Series, write_line_plot
+
+# One plot colour per psi of a sweep, in order.
+_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 
 # Ratio denominators below this multiple of the initial distance are
 # treated as degenerate and excluded.
@@ -311,3 +316,27 @@ def write_trajectory_csv(traj: Trajectory, path):
         for t, row in zip(traj.times, traj.states):
             w.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
 
+
+def write_trajectories(rows: list, csv_dir, plot, csv_name: str):
+    """Write the trajectory pairs in ``rows``, a list of ``sweep_pairs`` rows.
+
+    With ``csv_dir``, each pair's two trajectories go to CSV files there,
+    named ``csv_name.format(psi=<psi name>, pair=<pair index>, member="a"
+    or "b")``.  With ``plot``, one SVG at that path shows the first state of
+    every trajectory, one colour per psi, member b dashed.
+    """
+    series = []
+    colors = {}
+    if csv_dir:
+        os.makedirs(csv_dir, exist_ok=True)
+    for psi, i, ta, tb, _ in rows:
+        color = colors.setdefault(id(psi), _PALETTE[len(colors) % len(_PALETTE)])
+        for member, traj in (("a", ta), ("b", tb)):
+            if csv_dir:
+                write_trajectory_csv(traj, os.path.join(
+                    csv_dir, csv_name.format(psi=psi.name, pair=i, member=member)))
+            series.append(Series(x=traj.times, y=traj.states[:, 0], color=color,
+                                 dashed=member == "b", label=f"{psi.name} {member}"))
+    if plot:
+        write_line_plot(plot, series, title="First state trajectories", ylabel="x1",
+                        xlabel="t" if rows and rows[0][2].domain == CONTINUOUS else "k")

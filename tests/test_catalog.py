@@ -20,6 +20,7 @@ from lurecert.catalog import (
     LmiSpec,
     PreconditionError,
     auto_tag,
+    certify_gains,
     lower_monotone,
 )
 from lurecert.model import (
@@ -507,6 +508,33 @@ class TestLmiSpec:
         direct = LmiSpec(DT_SEC_SYNTHESIS, sys, lower_monotone(nc), 0.5).build()
         wit = {"W": np.eye(1), "Z": np.zeros((1, 1)), "K_psi": np.zeros((1, 1))}
         assert np.allclose(pencil.evaluate(wit), direct.evaluate(wit))
+
+
+class TestCertifyGains:
+    @staticmethod
+    def scalar_spec(tag, domain, eta):
+        sys = LureSystem(A=np.array([[0.3]]), B=np.array([[1.0]]),
+                         B_psi=np.array([[1.0]]), C=np.eye(1), domain=domain)
+        nc = Lipschitz(rho=0.1, theta_y=np.eye(1), theta_psi=np.eye(1))
+        return LmiSpec(tag, sys, nc, eta)
+
+    def test_margin_is_the_matching_analysis_form_at_w_inverse(self):
+        spec = self.scalar_spec(DT_LIP_SYNTHESIS, DISCRETE, 0.5)
+        design = certify_gains(spec, {"W": np.array([[2.0]]), "Z": np.array([[0.4]]),
+                                      "K_psi": np.array([[0.1]])})
+        assert np.array_equal(design.gains.K, [[0.2]])
+        assert np.array_equal(design.gains.K_psi, [[0.1]])
+        assert np.array_equal(design.P, [[0.5]])
+        analysis = LmiSpec(DT_LIP_ANALYSIS, spec.system, spec.nonlinearity, 0.5)
+        lmax = np.linalg.eigvalsh(analysis.build(design.gains).evaluate({"P": design.P}))[-1]
+        assert design.analysis_margin == pytest.approx(lmax, abs=1e-14)
+        assert design.certified == (design.analysis_margin < 0)
+
+    def test_form_without_k_psi_gets_zero(self):
+        spec = self.scalar_spec(CT_LIP_CONSERVATIVE, CONTINUOUS, 0.1)
+        design = certify_gains(spec, {"W": np.array([[1.0]]), "Z": np.array([[-5.0]])})
+        assert np.array_equal(design.gains.K_psi, np.zeros((1, 1)))
+        assert design.certified
 
 
 class TestAutoTag:

@@ -1,13 +1,16 @@
 """Tests for problem-file parsing and the command-line driver."""
 
+import argparse
 import gc
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
-from lurecert import cli
+from lurecert import __version__, cli, nonlin, solver
 from lurecert.cli import main
 from lurecert.problemio import PAIRS_SCHEMA, PROBLEM_SCHEMA, ProblemFileError, parse_problem
 from lurecert.solver import FEASIBLE, FeasibilityResult
@@ -367,6 +370,28 @@ class TestSimulateCommand:
         assert run(11) != run(12)
         assert run(11, flag_seed=12) == run(12)  # the flag wins over env
 
+    @pytest.mark.parametrize("argv", [["simulate", "{problem}", "--steps", "5"],
+                                      ["check", "{problem}", "--psi", "paper2"]])
+    def test_non_integer_seed_env_names_the_variable(self, tmp_path, monkeypatch,
+                                                      capsys, argv):
+        monkeypatch.setenv("LURE_CONTRACT_SEED", "abc")
+        problem = write_problem(tmp_path, REFERENCE_PROBLEM)
+        assert main([a.format(problem=problem) for a in argv] + ["--quiet"]) == 1
+        assert "LURE_CONTRACT_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["simulate", "{problem}", "--steps", "5"],
+                                      ["check", "{problem}", "--psi", "paper1"]])
+    def test_builtin_psi_of_another_shape_is_a_usage_error(self, tmp_path, capsys, argv):
+        # paper1 maps R^2 to R^1; this system has n_y = 3
+        doc = json.loads(json.dumps(REFERENCE_PROBLEM))
+        doc["system"]["C"] = np.eye(3).tolist()
+        doc["nonlinearity"]["theta_y"] = np.eye(3).tolist()
+        doc["builtin_psi"] = ["paper1"]
+        problem = write_problem(tmp_path, doc)
+        assert main([a.format(problem=problem) for a in argv] + ["--quiet"]) == 1
+        assert ("builtin psi 'paper1' maps n_y = 2 to n_psi = 1, but the system has "
+                "n_y = 3 and n_psi = 1") in capsys.readouterr().err
+
 
 class TestCheckCommand:
     def test_reference_psi_conforms(self, tmp_path):
@@ -542,6 +567,18 @@ class TestReportDocument:
         del printed["wall_time_seconds"], written["wall_time_seconds"]
         assert printed == written
 
+    def test_demo_stdout_is_the_report(self, tmp_path, capsys):
+        assert main(["demo-paper", "--out", str(tmp_path / "demo")]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["command"] == "demo-paper"
+        assert printed["input_digest"] is None
+        assert printed["status"] == "ok"
+        assert printed["tool_version"] == __version__
+        assert printed["wall_time_seconds"] >= 0
+        assert printed["ok"] is True
+        assert np.allclose(printed["K"], [[-6.0, -0.6, 1.5]], atol=1e-10)
+        assert not (tmp_path / "demo" / "report.json").exists()
+
 
 class TestDemoCommand:
     def test_demo_runs_and_writes_artifacts(self, tmp_path):
@@ -552,3 +589,50 @@ class TestDemoCommand:
             assert (out_dir / f"{name}_x0a.csv").exists()
             assert (out_dir / f"{name}_x0b.csv").exists()
         assert (out_dir / "trajectories_x1.svg").exists()
+
+    def test_mismatch_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a positivity floor above W's lambda_min of 0.05 fails the witness
+        monkeypatch.setattr(solver, "DEFAULT_EPS", 0.1)
+        assert main(["demo-paper", "--out", str(tmp_path / "demo")]) == 2
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["status"] == "mismatch"
+        assert printed["ok"] is False
+
+
+README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+class TestContract:
+    """Five subcommands and exit codes 0-3 are the command-line contract."""
+
+    def test_subcommands_are_the_five_readme_lists(self):
+        listed = re.findall(r"^lurecert ([\w-]+)", README, re.M)
+        sub = next(a for a in cli._PARSER._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == sorted(listed)
+        assert len(listed) == 5
+
+    def test_every_status_has_an_exit_code(self):
+        statuses = {solver.FEASIBLE, solver.INFEASIBLE, solver.UNDETERMINED,
+                    nonlin.NO_VIOLATION, nonlin.VIOLATED, "ok", "mismatch"}
+        assert set(cli.EXIT_CODES) == statuses
+        assert set(cli.EXIT_CODES.values()) == {0, 2, 3}
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{problem}"], ["analyze", "{infeasible}"],
+        ["analyze", "{truncated}"], ["synthesize", "{problem}"],
+        ["simulate", "{problem}", "--steps", "5"],
+        ["check", "{problem}", "--psi", "paper2", "--samples", "200"],
+        ["check", "{infeasible}", "--psi", "tanh", "--samples", "200"],
+        ["demo-paper", "--out", "{demo}"],
+    ])
+    def test_exit_code_is_the_status_through_the_table(self, tmp_path, capsys, argv):
+        paths = {"problem": write_problem(tmp_path, REFERENCE_PROBLEM),
+                 "infeasible": write_problem(tmp_path, SCALAR_INFEASIBLE, "inf.json"),
+                 "truncated": write_problem(tmp_path, dict(DIAGONAL_DT,
+                                                           solver={"max_iter": 3}),
+                                            "truncated.json"),
+                 "demo": str(tmp_path / "demo")}
+        code = main([a.format(**paths) for a in argv])
+        status = json.loads(capsys.readouterr().out)["status"]
+        assert code == cli.EXIT_CODES[status]

@@ -38,6 +38,14 @@ class TestRunDemo:
         summary = run_demo(data=dataclasses.replace(DemoData(), A=bad_a))
         assert not summary.ok
 
+    def test_ok_requires_the_analysis_reaudit(self):
+        # the witness passes its audit within WITNESS_LMAX_TOL, but the gains
+        # fail the analysis form at P = W^{-1}
+        summary = run_demo(data=dataclasses.replace(DemoData(), eta=0.83605265))
+        assert 0 < summary.witness_lambda_max <= 1e-8
+        assert summary.analysis_lambda_max > 0
+        assert not summary.ok
+
     def test_ok_follows_the_audit_floor(self, monkeypatch):
         # a positivity floor above W's lambda_min of 0.05 fails the witness
         monkeypatch.setattr(solver, "DEFAULT_EPS", 0.1)
