@@ -1,9 +1,18 @@
 """Problem-file parsing and report emission for the CLI.
 
 Problem files are JSON documents with an explicit schema_version; they are
-schema-validated before any numerics, and every number must be a finite
-double, so malformed input yields a path-to-field diagnostic instead of a
-numpy traceback.
+checked before any numerics, and every number must be a finite double, so
+malformed input yields a path-to-field diagnostic instead of a numpy
+traceback.
+
+jsonschema checks a document down to each matrix and each ``--pairs`` pair
+member (descending into every entry took most of a small problem's parse
+time).  Then `_check_rows` checks the rows and entries of every matrix, a
+pair being a matrix with its members as rows, and words and ranks a bad one
+as jsonschema would.  A schema error lies shallower than any row or entry,
+so reporting it first keeps ``best_match``'s choice over the whole document.
+A ragged matrix is reported last, at its first row whose length differs
+from row 0.
 """
 
 from __future__ import annotations
@@ -23,11 +32,10 @@ from .model import Gains, Lipschitz, LureSystem, Monotone, NonlinearityClass, Se
 
 SCHEMA_VERSION = 1
 
-_MATRIX = {
-    "type": "array",
-    "minItems": 1,
-    "items": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-}
+# a matrix, or a member of a pair; its rows and entries are checked by `_check_rows`
+_MATRIX = {"type": "array", "minItems": 1}
+# what the rows of a matrix must be, validated only to word an error `_check_rows` found
+_ROWS = {"items": {"type": "array", "minItems": 1, "items": {"type": "number"}}}
 
 PROBLEM_SCHEMA = {
     "type": "object",
@@ -97,8 +105,13 @@ PROBLEM_SCHEMA = {
 PAIRS_SCHEMA = {
     "type": "array",
     "minItems": 1,
-    "items": {"type": "array", "minItems": 2, "maxItems": 2, "items": _MATRIX["items"]},
+    "items": {"type": "array", "minItems": 2, "maxItems": 2, "items": _MATRIX},
 }
+
+# (object, field) of every matrix in a problem document, in schema order
+_MATRIX_FIELDS = tuple((key, name) for key, sub in PROBLEM_SCHEMA["properties"].items()
+                       for name, schema in sub.get("properties", {}).items()
+                       if schema is _MATRIX)
 
 
 class ProblemFileError(ValueError):
@@ -118,11 +131,7 @@ class Problem:
 
 
 def _mat(doc, key):
-    rows = doc[key]
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ProblemFileError(f"field {key!r}: rows have unequal lengths")
-    return np.array(rows, dtype=float)
+    return np.array(doc[key], dtype=float)
 
 
 def _nonlinearity(doc) -> NonlinearityClass:
@@ -153,9 +162,9 @@ def _nonlinearity(doc) -> NonlinearityClass:
 
 @functools.cache
 def _validator(name: str):
-    """The validator of schema ``name`` ("problem" or "pairs"); the schema
-    itself is checked once per process."""
-    schema = {"problem": PROBLEM_SCHEMA, "pairs": PAIRS_SCHEMA}[name]
+    """The validator of schema ``name`` ("problem", "pairs" or "rows"); the
+    schema itself is checked once per process."""
+    schema = {"problem": PROBLEM_SCHEMA, "pairs": PAIRS_SCHEMA, "rows": _ROWS}[name]
     cls = validator_for(schema)
     cls.check_schema(schema)
     return cls(schema)
@@ -177,9 +186,50 @@ def _parse(text: str, name: str):
     # the best-ranked error, as jsonschema.validate reports it, not the first found
     error = best_match(_validator(name).iter_errors(doc))
     if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "(document root)"
-        raise ProblemFileError(f"schema violation at {path}: {error.message}")
+        raise _violation(error)
+    if name == "pairs":
+        _check_rows([((i,), pair) for i, pair in enumerate(doc)])
+    else:
+        _check_rows([((key, sub), doc[key][sub]) for key, sub in _MATRIX_FIELDS
+                     if sub in doc.get(key, ())])
     return doc
+
+
+def _where(path) -> str:
+    return "/".join(str(p) for p in path) or "(document root)"
+
+
+def _violation(error) -> ProblemFileError:
+    return ProblemFileError(f"schema violation at {_where(error.absolute_path)}: {error.message}")
+
+
+def _is_matrix(rows) -> bool:
+    """Whether ``rows`` are non-empty lists of numbers, all of one length."""
+    width = len(rows[0]) if type(rows[0]) is list else 0
+    # `type(v) in` rejects bool, and the text the parse hooks keep for non-finite literals
+    return width > 0 and all(
+        type(row) is list and len(row) == width and all(type(v) in (int, float) for v in row)
+        for row in rows)
+
+
+def _check_rows(matrices):
+    """Raise ProblemFileError for the worst row or entry among ``matrices``,
+    ``[(path, rows), ...]``, or else for the first ragged one."""
+    bad = [(path, rows) for path, rows in matrices if not _is_matrix(rows)]
+    if not bad:
+        return
+    errors = []
+    for path, rows in bad:
+        for error in _validator("rows").iter_errors(rows):
+            error.path.extendleft(reversed(path))
+            errors.append(error)
+    error = best_match(errors)
+    if error is not None:
+        raise _violation(error)
+    path, rows = bad[0]
+    i = next(i for i, row in enumerate(rows) if len(row) != len(rows[0]))
+    raise ProblemFileError(f"unequal lengths at {_where((*path, i))}: length {len(rows[i])}, "
+                           f"but {_where((*path, 0))} has length {len(rows[0])}")
 
 
 def parse_problem(text: str) -> Problem:

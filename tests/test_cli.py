@@ -474,6 +474,17 @@ class TestExitCodes:
          "error: pencil basis contains non-finite entries"),
         # the seed drives only simulate's and check's draws
         (["analyze", "{problem}", "--seed", "5"], 1, "unrecognized arguments: --seed"),
+        # entries that np.array would quietly turn into numbers, and a ragged row
+        (["analyze", "{true_entry}"], 1,
+         "schema violation at system/A/0/0: True is not of type 'number'"),
+        (["analyze", "{string_entry}"], 1,
+         "schema violation at system/A/0/0: '1.5' is not of type 'number'"),
+        (["analyze", "{nested_entry}"], 1,
+         "schema violation at system/A/0/0: [1.2] is not of type 'number'"),
+        (["analyze", "{ragged}"], 1,
+         "unequal lengths at system/A/1: length 2, but system/A/0 has length 3"),
+        (["simulate", "{problem}", "--pairs", "{ragged_pair}"], 1,
+         "unequal lengths at 0/1: length 2, but 0/0 has length 3"),
     ])
     def test_exit_code(self, tmp_path, capsys, argv, code, err):
         files = {
@@ -492,6 +503,11 @@ class TestExitCodes:
             "negative_steps": json.dumps(dict(DIAGONAL_DT, solver={"max_iter": -5})),
             "huge": json.dumps(dict(DIAGONAL_DT, system=dict(
                 DIAGONAL_DT["system"], A=[[1e200, 0.0], [0.0, 0.5]]))),
+            "true_entry": self.reference_text('"A": [[1.2', '"A": [[true'),
+            "string_entry": self.reference_text('"A": [[1.2', '"A": [["1.5"'),
+            "nested_entry": self.reference_text('"A": [[1.2', '"A": [[[1.2]'),
+            "ragged": self.reference_text("[0.1, 0.8, 0.0]", "[0.1, 0.8]"),
+            "ragged_pair": "[[[1, 1, 1], [-1, -1]]]",
         }
         paths = {}
         for name, text in files.items():
