@@ -28,7 +28,6 @@ from .model import (
     NonlinearityClass,
     SectorBounded,
     close_loop,
-    recover_gains,
 )
 from .pencil import AffinePencil, VariableLayout, pencil_from_function
 from .solver import FeasibilityProblem
@@ -301,6 +300,15 @@ class LmiSpec:
     def build(self, gains: Gains | None = None) -> AffinePencil:
         """Build the pencil; analysis tags require gains, which close the
         loop, and synthesis tags are built on the open-loop system."""
+        m, blocks = self._blocks(gains)
+        return pencil_from_function(
+            VariableLayout([_group(n, m) for n in _FORMS[self.tag].variables]),
+            lambda v: blocks(**v))
+
+    def _blocks(self, gains: Gains | None):
+        """The model the form is posed on (the loop closed with ``gains``
+        for analysis tags, else the system) and the form's block function
+        on it, once the model passes the form's preconditions."""
         form = _FORMS[self.tag]
         m = self.system
         if form.analysis:
@@ -318,10 +326,8 @@ class LmiSpec:
         elif np.all(m.B_psi == 0.0) and np.all(m.B == 0.0):
             # B_cl = B_psi + B K_psi is identically zero only when B_psi = B = 0.
             warnings.warn("B_psi = 0 and B = 0: B_cl is identically zero, the "
-                          "synthesis form degenerates", stacklevel=2)
-        blocks = form.blocks(m, nc, float(self.eta))
-        return pencil_from_function(VariableLayout([_group(n, m) for n in form.variables]),
-                                    lambda v: blocks(**v))
+                          "synthesis form degenerates", stacklevel=3)
+        return m, form.blocks(m, nc, float(self.eta))
 
     def problem(self, gains: Gains | None = None) -> FeasibilityProblem:
         """The feasibility problem of ``build(gains)`` with the form's
@@ -354,12 +360,16 @@ def certify_gains(spec: LmiSpec, witness: dict) -> CertifiedGains:
     P = W^{-1} for the loop closed with them.  By the change of variables
     (Boyd et al., 1994) it is negative whenever a grid synthesis form holds
     strictly at W; the conservative form has no such guarantee.  Raises
-    ``linalg.SingularMatrixError`` when W cannot be inverted."""
+    ``linalg.SingularMatrixError`` when W cannot be inverted.
+
+    W is inverted once, for both K and P, and the analysis form's block
+    function is evaluated at P directly, without building its pencil."""
     m = spec.system
-    gains = recover_gains(witness["W"], witness["Z"],
-                          witness.get("K_psi", np.zeros((m.n_u, m.n_psi))))
-    p = linalg.inverse(witness["W"])
+    p = linalg.inverse(linalg.as_sym(witness["W"], "W"))
+    gains = Gains(K=linalg.as_matrix(witness["Z"], "Z") @ p,
+                  K_psi=witness.get("K_psi", np.zeros((m.n_u, m.n_psi))))
     a_spec = LmiSpec(tag=auto_tag(m, spec.nonlinearity, analysis=True), system=m,
                      nonlinearity=spec.nonlinearity, eta=spec.eta)
-    margin = float(linalg.eigvals_sym(a_spec.build(gains).evaluate({"P": p}))[-1])
+    _, blocks = a_spec._blocks(gains)
+    margin = float(linalg.eigvals_sym(blocks(P=p))[-1])
     return CertifiedGains(gains, p, margin, margin < 0)

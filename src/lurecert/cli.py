@@ -158,12 +158,13 @@ def cmd_simulate(args, problem):
             **{k: getattr(args, k) for k in ("steps", "t_end", "dt")
                if getattr(args, k) is not None}}
     psis = [_psi_for_problem(problem, n) for n in problem.builtin_psi or ("zero",)]
-    pairs = (load_pairs(args.pairs) if args.pairs
-             else random_pairs(problem.system.n_x, _default_seed(args), n_pairs=1))
+    n_x = problem.system.n_x
+    pairs = (load_pairs(args.pairs, n_x) if args.pairs
+             else random_pairs(n_x, _default_seed(args), n_pairs=1))
 
     # measure contraction against a certificate P from the analysis solve
     result = _solve_analysis(problem, args, _spec(problem, "auto", analysis=True))
-    p = result.witness["P"] if result.status == FEASIBLE else np.eye(problem.system.n_x)
+    p = result.witness["P"] if result.status == FEASIBLE else np.eye(n_x)
 
     rows = list(sweep_pairs(close_loop(problem.system, problem.gains), psis, pairs, p,
                             **grid))

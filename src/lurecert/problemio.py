@@ -264,14 +264,20 @@ def load_problem(path) -> Problem:
         return parse_problem(fh.read())
 
 
-def load_pairs(path) -> list:
-    """The initial-state pairs [(x0a, x0b), ...] in a JSON file."""
+def load_pairs(path, n_x: int) -> list:
+    """The initial-state pairs [(x0a, x0b), ...] in a JSON file, for a
+    system of n_x states."""
     with open(path) as fh:
         text = fh.read()
     try:
         doc = _parse(text, "pairs")
     except ProblemFileError as exc:
         raise ProblemFileError(f"pairs file {path}: {exc}") from exc
+    # the two members of a pair have one length, which _parse checked
+    for i, (a, _) in enumerate(doc):
+        if len(a) != n_x:
+            raise ProblemFileError(f"pairs file {path}: pair {i} has members of length "
+                                   f"{len(a)}, but the system has n_x = {n_x}")
     return [(np.array(a, dtype=float), np.array(b, dtype=float)) for a, b in doc]
 
 

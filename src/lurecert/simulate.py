@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -178,13 +178,27 @@ class RateReport:
     min_rate: Optional[float] = None
 
 
-def rate_estimate(traj1: Trajectory, traj2: Trajectory, p) -> RateReport:
-    """Measure per-step contraction of the pair (traj1, traj2) under ||.||_P,
-    leaving out steps whose distance is at the degeneracy or rounding floor."""
+class _Weight(NamedTuple):
+    """A weight P that ``_weight`` has symmetrised and checked positive
+    definite."""
+
+    p: np.ndarray
+
+
+def _weight(p) -> _Weight:
     p = linalg.as_sym(p, "P")
     ok, _ = linalg.is_pd(p)
     if not ok:
         raise ValueError("P must be positive definite")
+    return _Weight(p)
+
+
+def rate_estimate(traj1: Trajectory, traj2: Trajectory, p) -> RateReport:
+    """Measure per-step contraction of the pair (traj1, traj2) under ||.||_P,
+    leaving out steps whose distance is at the degeneracy or rounding floor.
+    P is checked here unless it comes as a ``_Weight``, which ``sweep_pairs``
+    checks once for all its pairs."""
+    p = (p if isinstance(p, _Weight) else _weight(p)).p
     if traj1.states.shape != traj2.states.shape or not np.array_equal(
             traj1.times, traj2.times):
         raise linalg.DimensionError("trajectories must share an identical grid")
@@ -252,6 +266,7 @@ def sweep_pairs(cl: ClosedLoop, psis: Iterable[NonlinearFn], pairs, p,
 
     stack = sim(cl, NonlinearFn(fn=blocks, n_y=cl.n_y, n_psi=cl.n_psi, vectorized=True),
                 np.concatenate([x0] * len(psis)), *grid)
+    p = _weight(p)
     for j, psi in enumerate(psis):
         trajs = [Trajectory(stack.times, stack.states[:, j * rows + m], stack.domain,
                             stack.psi_evaluations) for m in range(rows)]

@@ -15,6 +15,13 @@ along the ray, so when t at 0.99 of the way to the domain's edge reaches
 the stopping margin, that one point is factored and audited as the
 witness; a failed audit continues from the minimiser.
 
+The first step also tries the start's affine-scaling ray H^{-1} e_t, with
+the step's Hessian H.  It raises t the most over the Dikin ellipsoid and
+does not depend on mu (Dikin 1967; Boyd & Vandenberghe 2004, 9.5 and
+11.3).  Its far end is audited in the same way, and if it passes, the solve
+ends after one Newton step instead of first centering at the arbitrary
+starting mu.  Otherwise the path goes on as if the ray had not been tried.
+
 Every "feasible" verdict is re-checked by an independent eigenvalue audit
 that only uses the pencil and linalg, never the solver's internal state.
 """
@@ -299,6 +306,21 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
 
     mu = max(1.0, abs(pt.z[n]))
     stop = max(MARGIN_STOP, 10 * opts.margin_min)
+
+    def audited_end(dz, top):
+        """The point 0.99 of the way from pt along dz to the domain's edge
+        at 1 / top, its witness and audit report, when t there reaches stop
+        and the witness passes the audit; else None."""
+        edge = 0.99 / top
+        if pt.z[n] + edge * dz[n] < stop:
+            return None
+        trial = model.point(pt.z + edge * dz)
+        if trial is None:
+            return None
+        witness = unpack(trial.z[:n])
+        report = audit(prob, witness, margin_min=opts.margin_min)
+        return (trial, witness, report) if report.satisfied else None
+
     iterations = 0
     status = reason = None
     while iterations < opts.max_iter:
@@ -312,6 +334,15 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
             break
         decrement2 = float(-grad @ step)
         iterations += 1
+        if iterations == 1:
+            # the affine-scaling ray H^{-1} e_t raises t the most over the
+            # Dikin ellipsoid, whatever mu: try its far end first
+            ray = np.linalg.solve(h_phi, -c_obj)
+            top = float(np.max(model.ray_rates(pt, ys, ray)))
+            end = audited_end(ray, top) if 0 < top < np.inf else None
+            if end is not None:
+                (pt, witness, report), status = end, FEASIBLE
+                break
         centered = decrement2 <= 0 or decrement2 / 2.0 <= NEWTON_TOL
         if not centered:
             delta = model.ray_rates(pt, ys, step)
@@ -323,15 +354,10 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
                           "positive rate ends the ray in the domain")
                 break
             # t is linear along the ray: try its far end as the witness
-            edge = 0.99 / top
-            if pt.z[n] + edge * step[n] >= stop:
-                trial = model.point(pt.z + edge * step)
-                if trial is not None:
-                    witness = unpack(trial.z[:n])
-                    report = audit(prob, witness, margin_min=opts.margin_min)
-                    if report.satisfied:
-                        pt, status = trial, FEASIBLE
-                        break
+            end = audited_end(step, top)
+            if end is not None:
+                (pt, witness, report), status = end, FEASIBLE
+                break
             # backtracking line search on f = c.z/mu + phi from the exact
             # minimiser of f along the ray.  Below 2^-30 of it an accepted
             # step would be round-off.

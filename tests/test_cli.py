@@ -56,7 +56,7 @@ SCALAR_INFEASIBLE = {
     "gains": {"K": [[0.0]], "K_psi": [[0.0]]},
 }
 
-# a feasible DT-Lipschitz analysis: the full solve takes 11 Newton steps
+# a feasible DT-Lipschitz analysis
 DIAGONAL_DT = {
     "schema_version": 1,
     "system": {
@@ -75,6 +75,10 @@ DIAGONAL_DT = {
     "eta": 0.9,
     "gains": {"K": [[0.0, 0.0]], "K_psi": [[0.0]]},
 }
+
+# the reference analysis, feasible, cut to fewer Newton steps than its solve
+# takes (see test_truncated_premise)
+TRUNCATED = dict(REFERENCE_PROBLEM, solver={"max_iter": 3})
 
 
 def write_problem(tmp_path, doc, name="problem.json"):
@@ -485,6 +489,13 @@ class TestExitCodes:
          "unequal lengths at system/A/1: length 2, but system/A/0 has length 3"),
         (["simulate", "{problem}", "--pairs", "{ragged_pair}"], 1,
          "unequal lengths at 0/1: length 2, but 0/0 has length 3"),
+        # pairs whose members do not have the system's n_x = 3 entries
+        (["simulate", "{problem}", "--pairs", "{mixed_pairs}"], 1,
+         "pairs file {mixed_pairs}: pair 1 has members of length 2, but the "
+         "system has n_x = 3"),
+        (["simulate", "{problem}", "--pairs", "{short_pairs}"], 1,
+         "pairs file {short_pairs}: pair 0 has members of length 2, but the "
+         "system has n_x = 3"),
     ])
     def test_exit_code(self, tmp_path, capsys, argv, code, err):
         files = {
@@ -498,7 +509,7 @@ class TestExitCodes:
             "diverging": json.dumps(DIVERGING_DT),
             "ct": json.dumps(dict(SCALAR_INFEASIBLE, system=dict(
                 SCALAR_INFEASIBLE["system"], A=[[-1.0]]))),
-            "truncated": json.dumps(dict(DIAGONAL_DT, solver={"max_iter": 3})),
+            "truncated": json.dumps(TRUNCATED),
             "no_steps": json.dumps(dict(DIAGONAL_DT, solver={"max_iter": 0})),
             "negative_steps": json.dumps(dict(DIAGONAL_DT, solver={"max_iter": -5})),
             "huge": json.dumps(dict(DIAGONAL_DT, system=dict(
@@ -508,6 +519,8 @@ class TestExitCodes:
             "nested_entry": self.reference_text('"A": [[1.2', '"A": [[[1.2]'),
             "ragged": self.reference_text("[0.1, 0.8, 0.0]", "[0.1, 0.8]"),
             "ragged_pair": "[[[1, 1, 1], [-1, -1]]]",
+            "mixed_pairs": "[[[1, 1, 1], [1, 1, 1]], [[1, 1], [1, 1]]]",
+            "short_pairs": "[[[1, 1], [-1, -1]]]",
         }
         paths = {}
         for name, text in files.items():
@@ -515,7 +528,16 @@ class TestExitCodes:
             paths[name].write_text(text)
         argv = [a.format(**paths) for a in argv] + ["--quiet"]
         assert main(argv) == code
-        assert err in capsys.readouterr().err
+        assert err.format(**paths) in capsys.readouterr().err
+
+    def test_truncated_premise(self):
+        # the `truncated` rows mean "cut short" only while the full solve
+        # takes more Newton steps than the cap
+        problem = parse_problem(json.dumps(REFERENCE_PROBLEM))
+        spec = cli._spec(problem, "auto", analysis=True)
+        res = solver.solve(spec.problem(problem.gains))
+        assert res.status == FEASIBLE
+        assert res.iterations > TRUNCATED["solver"]["max_iter"]
 
 
 class TestSharedParser:
@@ -645,9 +667,7 @@ class TestContract:
     def test_exit_code_is_the_status_through_the_table(self, tmp_path, capsys, argv):
         paths = {"problem": write_problem(tmp_path, REFERENCE_PROBLEM),
                  "infeasible": write_problem(tmp_path, SCALAR_INFEASIBLE, "inf.json"),
-                 "truncated": write_problem(tmp_path, dict(DIAGONAL_DT,
-                                                           solver={"max_iter": 3}),
-                                            "truncated.json"),
+                 "truncated": write_problem(tmp_path, TRUNCATED, "truncated.json"),
                  "demo": str(tmp_path / "demo")}
         code = main([a.format(**paths) for a in argv])
         status = json.loads(capsys.readouterr().out)["status"]

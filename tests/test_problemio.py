@@ -101,7 +101,7 @@ def pairs_error(tmp_path, text):
     path = tmp_path / "pairs.json"
     path.write_text(text)
     with pytest.raises(ProblemFileError) as exc:
-        load_pairs(str(path))
+        load_pairs(str(path), 3)
     return str(exc.value), f"pairs file {path}: "
 
 

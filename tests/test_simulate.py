@@ -155,8 +155,24 @@ class TestStackedSimulation:
                 np.testing.assert_allclose(traj.states, one.states, rtol=1e-13,
                                            atol=1e-13 * np.abs(one.states).max())
                 assert traj.psi_evaluations == one.psi_evaluations
+            alone = rate_estimate(ta, tb, p)
+            assert np.array_equal(rep.ratios, alone.ratios)
+            assert rep.max_ratio == alone.max_ratio
             seen += 1
         assert seen == len(psis) * len(pairs)
+
+    def test_sweep_checks_p_once(self, monkeypatch):
+        # P is the same for every pair, so a sweep checks it once
+        cl, _ = self.loops()
+        pairs = random_pairs(3, seed=2, n_pairs=3)
+        is_pd = linalg.is_pd
+        calls = []
+        monkeypatch.setattr(linalg, "is_pd", lambda *a: calls.append(a) or is_pd(*a))
+        rows = list(sweep_pairs(cl, [paper_psi(1), paper_psi(2)], pairs, np.eye(3), steps=5))
+        assert len(rows) == 6
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="P must be positive definite"):
+            list(sweep_pairs(cl, [paper_psi(1)], pairs, np.diag([1.0, -1.0, 1.0]), steps=5))
 
     def test_one_diverging_member_raises(self):
         # x -> 0.5 x + x^2 settles from 0.1 and overflows from 2.0

@@ -1,5 +1,7 @@
 """Tests for the embedded feasibility solver and its audit."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -130,12 +132,24 @@ class TestContract:
     def test_truncated_run_is_undetermined(self):
         # the bound t + mu * nu decides "infeasible" only at a centered
         # point; this synthesis is feasible, and 8 steps end mid-centering
-        prob = dt_lip_problem(2, "DT-Lip-synthesis", seed=1020)
-        assert solve(prob).status == FEASIBLE
+        prob = dt_lip_problem(3, "DT-Lip-synthesis")
+        full = solve(prob)
+        assert full.status == FEASIBLE
+        assert full.iterations > 8
         res = solve(prob, SolveOptions(max_iter=8))
         assert res.status == UNDETERMINED
         assert res.iterations == 8
         assert "max_iter = 8" in res.diagnostics["reason"]
+
+    def test_slack_instance_ends_on_the_affine_scaling_ray(self):
+        # the start's affine-scaling ray reaches the stopping margin on this
+        # synthesis, so the solve ends after one Newton step
+        prob = dt_lip_problem(2, "DT-Lip-synthesis", seed=1020)
+        res = solve(prob)
+        assert res.status == FEASIBLE
+        assert res.iterations == 1
+        assert res.diagnostics["early_exit"]
+        assert audit(prob, res.witness, margin_min=SolveOptions().margin_min).satisfied
 
 
 class TestStructure:
@@ -345,11 +359,12 @@ class TestBarrierModel:
         res = solve(prob)
         assert res.status == INFEASIBLE
         assert calls["derivatives"] == res.iterations
-        # t stays negative, so no far end is tried: the start, then one
-        # point per line search, whose first trial (the ray's minimiser)
-        # is accepted
-        assert 0 < calls["ray_rates"] < res.iterations
-        assert calls["point"] == 1 + calls["ray_rates"]
+        # t stays negative, so no far end is tried, that of the start's
+        # affine-scaling ray included: the start, then one point per line
+        # search, whose first trial (the ray's minimiser) is accepted
+        newton_rays = calls["ray_rates"] - 1
+        assert 0 < newton_rays < res.iterations
+        assert calls["point"] == 1 + newton_rays
 
     def test_ray_model_matches_the_barrier(self):
         # along pt.z + alpha dz the barrier is pt.phi - sum log(1 - alpha delta)
@@ -477,3 +492,31 @@ def test_newton_step_budget(tag, n_x, status, budget):
     res = solve(dt_lip_problem(n_x, tag))
     assert res.status == status
     assert res.iterations <= budget
+
+
+# Tight instances of the solver table, whose start's affine-scaling ray ends
+# short of the stopping margin: (tag, n_x, status, Newton steps, witness
+# digest), recorded before that ray was tried.  They must take the barrier
+# path as before, bit for bit.  The digest is the first 16 hex digits of the
+# SHA-256 of the witness's coordinate bytes, which another BLAS may round
+# differently.
+PATH_PARITY = [
+    ("DT-Lip-analysis", 3, INFEASIBLE, 32, "cc8cefe5284d755f"),
+    ("DT-Lip-synthesis", 3, FEASIBLE, 15, "5b7889bbd598638f"),
+    ("DT-Lip-analysis", 6, INFEASIBLE, 47, "7d5630bd612a0bb0"),
+    ("DT-Lip-synthesis", 6, FEASIBLE, 17, "ea2499bc53b03044"),
+    ("DT-Lip-analysis", 8, INFEASIBLE, 46, "4024dec38463f9e9"),
+    ("DT-Lip-synthesis", 8, FEASIBLE, 18, "0b691314aa9bc858"),
+    ("DT-Lip-analysis", 10, INFEASIBLE, 50, "2a9f8be86807b85f"),
+    ("DT-Lip-synthesis", 10, INFEASIBLE, 44, "a2069f18a1a6fcec"),
+]
+
+
+@pytest.mark.parametrize("tag, n_x, status, steps, digest", PATH_PARITY,
+                         ids=[f"{tag}-{n_x}" for tag, n_x, *_ in PATH_PARITY])
+def test_barrier_path_parity(tag, n_x, status, steps, digest):
+    prob = dt_lip_problem(n_x, tag)
+    res = solve(prob)
+    assert (res.status, res.iterations) == (status, steps)
+    coords = prob.pencil.layout.pack(res.witness)
+    assert hashlib.sha256(coords.tobytes()).hexdigest()[:16] == digest
