@@ -250,18 +250,36 @@ class NonlinearFn:
         if y.ndim > 2 or y.shape[-1:] != (self.n_y,):
             raise linalg.DimensionError(
                 f"input has shape {y.shape}, expected ({self.n_y},) or (N, {self.n_y})")
-        if y.ndim == 2 and not self.vectorized:
-            return np.array([self._apply(f, row, shape, what) for row in y]).reshape(
-                (len(y),) + shape)
-        out = np.asarray(f(y), dtype=float)
-        if y.ndim == 2:
-            shape = (len(y),) + shape
-        elif out.ndim <= 1 and out.size == math.prod(shape):
-            out = out.reshape(shape)  # a scalar or a flat row-major vector
-        if out.shape != shape:
-            raise linalg.DimensionError(
-                f"{what} returned shape {out.shape}, expected {shape}")
-        return out
+        if y.ndim == 1:
+            return _one_output(np.asarray(f(y), dtype=float), shape, what)
+        stacked = (len(y),) + shape
+        if self.vectorized:
+            out = np.asarray(f(y), dtype=float)
+            if out.shape != stacked:
+                raise linalg.DimensionError(
+                    f"{what} returned shape {out.shape}, expected {stacked}")
+            return out
+        # one call per row, stacked once; the rows are checked one by one
+        # only when the stack is ragged or has the wrong shape
+        rows = [np.asarray(f(row), dtype=float) for row in y]
+        try:
+            out = np.array(rows)
+        except ValueError:  # ragged rows
+            out = None
+        if out is not None and (out.shape[1:] == shape or (
+                out.ndim <= 2 and math.prod(out.shape[1:]) == math.prod(shape))):
+            return out.reshape(stacked)
+        return np.array([_one_output(row, shape, what) for row in rows]).reshape(stacked)
+
+
+def _one_output(out: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+    """The output for one input vector: ``shape``, or a scalar or flat
+    row-major vector of as many entries."""
+    if out.ndim <= 1 and out.size == math.prod(shape):
+        out = out.reshape(shape)
+    if out.shape != shape:
+        raise linalg.DimensionError(f"{what} returned shape {out.shape}, expected {shape}")
+    return out
 
 
 def close_loop(sys: LureSystem, g: Gains) -> ClosedLoop:

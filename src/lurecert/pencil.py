@@ -35,7 +35,11 @@ class VariableGroup:
 
 
 class VariableLayout:
-    """Ordered named variable groups mapped to scalar coordinates."""
+    """Ordered named variable groups mapped to scalar coordinates.
+
+    ``triu`` holds the ``np.triu_indices`` of each symmetric group, in the
+    order of the group's coordinates.
+    """
 
     def __init__(self, groups: Iterable[tuple[str, str, tuple[int, int]]]):
         self.groups: dict[str, VariableGroup] = {}
@@ -51,6 +55,8 @@ class VariableLayout:
             self.groups[name] = g
             off += g.size
         self.size = off
+        self.triu = {name: np.triu_indices(g.shape[0])
+                     for name, g in self.groups.items() if g.kind == SYM}
 
     @staticmethod
     def sym(name: str, n: int):
@@ -69,8 +75,7 @@ class VariableLayout:
             m = np.asarray(assignment[name], dtype=float).reshape(g.shape)
             if g.kind == SYM:
                 m = 0.5 * (m + m.T)
-                iu = np.triu_indices(g.shape[0])
-                x[g.offset:g.offset + g.size] = m[iu]
+                x[g.offset:g.offset + g.size] = m[self.triu[name]]
             else:
                 x[g.offset:g.offset + g.size] = m.ravel()
         extra = set(assignment) - set(self.groups)
@@ -91,7 +96,7 @@ class VariableLayout:
         for name, g in self.groups.items():
             coords = x[..., g.offset:g.offset + g.size]
             if g.kind == SYM:
-                i, j = np.triu_indices(g.shape[0])
+                i, j = self.triu[name]
                 m = np.zeros(lead + g.shape)
                 m[..., i, j] = coords
                 m[..., j, i] = coords

@@ -1,10 +1,14 @@
 """Closed-loop trajectory simulation and empirical contraction measurement.
 
-Discrete-time systems are iterated exactly as written; continuous-time
-systems use classical fixed-step fourth-order integration.  Both run one
-stepping loop over a stack of initial states, and a sweep of several
-nonlinearities is one such stack.  Contraction is measured on trajectory
-pairs through the weighted distance ||.||_P.
+Discrete-time systems are iterated as written; continuous-time systems
+use classical fixed-step fourth-order Runge-Kutta integration.  Both run
+one stepping loop over a stack of initial states, and a sweep of several
+nonlinearities is one such stack.  Every stage input and the result of a
+step are linear in the state and the step's psi values, so a step of S
+stages is S + 1 matmuls by maps formed once per simulation (S = 1
+discrete, S = 4 continuous).  The results equal the stage-by-stage
+iteration up to rounding, not bit for bit.  Contraction is measured on
+trajectory pairs through the weighted distance ||.||_P.
 """
 
 from __future__ import annotations
@@ -90,38 +94,64 @@ def _checked_once(psi: NonlinearFn, shape: tuple):
     return call
 
 
-def _simulate(cl: ClosedLoop, psi: NonlinearFn, x0, times: np.ndarray, step) -> Trajectory:
-    """The stepping loop of both simulators: X(k+1) = step(f, X(k)) on the
-    grid ``times`` for the (N, n_x) stack of states X, where
-    f(X) = X A_cl^T + psi(X C^T) B_cl^T and both products are one
-    X [A_cl^T | C^T].  psi is checked in full on the first stage only (see
-    ``_checked_once``).  One x0 is a stack of one."""
+def _rk4_maps(cl: ClosedLoop, dt: float):
+    """The stage maps of classical RK4 on xdot = A_cl x + B_cl psi(C x),
+    for the row block Z = [X | P_1 | ... | P_4] of ``_simulate``.
+
+    Stage s evaluates psi at X_s C^T, where the stage state
+    X_s = X + dt sum_j a_sj K_j, and K_j = X_j A_cl^T + P_j B_cl^T, is
+    linear in the leading n_x + (s - 1) n_psi columns of Z; so is the step's
+    result X + dt sum_s b_s K_s.  Returns the four (n_x + (s - 1) n_psi,
+    n_y) input maps and the (n_x + 4 n_psi, n_x) result map."""
+    n, m = cl.n_x, cl.n_psi
+    # the classical tableau: a_sj below the diagonal, and the weights b_s
+    a = ((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0))
+    b = (1 / 6, 1 / 3, 1 / 3, 1 / 6)
+    x = np.eye(n + 4 * m, n)  # Z -> X
+    ks, gs = [], []
+    for s, a_s in enumerate(a):
+        x_s = x + dt * sum(a_sj * k for a_sj, k in zip(a_s, ks))
+        gs.append(x_s[:n + s * m] @ cl.C.T)
+        k = x_s @ cl.A_cl.T
+        k[n + s * m:n + (s + 1) * m] += cl.B_cl.T
+        ks.append(k)
+    return gs, x + dt * sum(b_s * k for b_s, k in zip(b, ks))
+
+
+def _simulate(cl: ClosedLoop, psi: NonlinearFn, x0, times: np.ndarray, gs: list,
+              result: np.ndarray) -> Trajectory:
+    """The stepping loop of both simulators, on the grid ``times`` for the
+    (N, n_x) stack of states X, in one (N, n_x + S n_psi) block
+    Z = [X | P_1 | ... | P_S].  Stage s sets
+    P_s = psi(Z[:, :n_x + (s - 1) n_psi] @ gs[s - 1]), and the step ends with
+    X(k+1) = Z @ result: S + 1 matmuls on maps fixed for the simulation.
+    psi is checked in full on the first stage only (see ``_checked_once``).
+    One x0 is a stack of one."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.ndim > 2 or x0.shape[-1:] != (cl.n_x,):
         raise linalg.DimensionError(
             f"x0 has shape {x0.shape}, expected ({cl.n_x},) or (N, {cl.n_x})")
-    n = cl.n_x
-    ac = np.hstack([cl.A_cl.T, cl.C.T])
-    b = cl.B_cl.T
-    x = x0.reshape(-1, n)
-    psi_of = _checked_once(psi, (len(x), cl.n_psi))
-    evals = 0
-
-    def f(x):
-        nonlocal evals
-        evals += 1
-        xy = x @ ac
-        return xy[:, :n] + psi_of(xy[:, n:]) @ b
-
+    n, m = cl.n_x, cl.n_psi
     states = np.empty((len(times),) + x0.shape)
     states[0] = x0
+    xs = states.reshape(len(times), -1, n)
+    z = np.empty((xs.shape[1], n + len(gs) * m))
+    x = z[:, :n]
+    x[...] = xs[0]
+    # (input columns, input map, output columns) of each stage, as views of z
+    stages = [(z[:, :n + s * m], g, z[:, n + s * m:n + (s + 1) * m])
+              for s, g in enumerate(gs)]
+    psi_of = _checked_once(psi, (len(z), m))
     with np.errstate(over="ignore", invalid="ignore"):  # DivergenceError reports it
         for k in range(1, len(times)):
-            x = step(f, x)
-            if not np.isfinite(x).all():
+            for y, g, p in stages:
+                p[...] = psi_of(y @ g)
+            np.matmul(z, result, out=xs[k])
+            if not np.isfinite(xs[k]).all():
                 raise DivergenceError(k)
-            states[k] = x.reshape(x0.shape)
-    return Trajectory(times=times, states=states, domain=cl.domain, psi_evaluations=evals)
+            x[...] = xs[k]
+    return Trajectory(times=times, states=states, domain=cl.domain,
+                      psi_evaluations=len(gs) * (len(times) - 1))
 
 
 def simulate_dt(cl: ClosedLoop, psi: NonlinearFn, x0, steps: int) -> Trajectory:
@@ -131,7 +161,8 @@ def simulate_dt(cl: ClosedLoop, psi: NonlinearFn, x0, steps: int) -> Trajectory:
         raise ValueError("simulate_dt requires a discrete-time loop")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    return _simulate(cl, psi, x0, np.arange(steps + 1, dtype=float), lambda f, x: f(x))
+    return _simulate(cl, psi, x0, np.arange(steps + 1, dtype=float), [cl.C.T],
+                     np.vstack([cl.A_cl.T, cl.B_cl.T]))
 
 
 def simulate_ct(cl: ClosedLoop, psi: NonlinearFn, x0, t_end: float,
@@ -148,15 +179,7 @@ def simulate_ct(cl: ClosedLoop, psi: NonlinearFn, x0, t_end: float,
     if n_steps < 1:
         raise ValueError(f"t_end = {t_end} is less than half of dt = {dt}: "
                          "the grid has no steps")
-
-    def rk4(f, x):
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
-        return x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    return _simulate(cl, psi, x0, dt * np.arange(n_steps + 1), rk4)
+    return _simulate(cl, psi, x0, dt * np.arange(n_steps + 1), *_rk4_maps(cl, dt))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .pencil import AffinePencil, SYM, pencil_from_function
+from .pencil import AffinePencil, SYM
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible-certified-numerically"
@@ -175,24 +175,25 @@ class _BarrierModel:
         self.nz = n + 1
         self.box = prob.box
 
-        def block(pencil, t_coef):
-            # (constant, coefficient stack over z)
-            return pencil.F0, np.concatenate([pencil.basis, t_coef[None]])
+        # each block is (constant, coefficient stack over z); the pencil's
+        # coefficient of t is I
+        f = prob.pencil
+        self.blocks = [(f.F0, np.concatenate([f.basis, np.eye(f.dim)[None]]))]
 
-        m = prob.pencil.dim
-        self.blocks = [block(prob.pencil, np.eye(m))]
-
-        # positivity: eps I - G(x) <= 0.  Each group starts at v I with v
-        # strictly inside (eps, box): 1 for a box >= 2; other coordinates
-        # start at 0.
+        # positivity: eps I - G(x) <= 0, whose coefficient of each of G's
+        # coordinates is minus that entry's unit symmetric matrix.  Each
+        # group starts at v I with v strictly inside (eps, box): 1 for a
+        # box >= 2; other coordinates start at 0.
         x0 = np.zeros(n)
         for g in prob.positivity:
             grp = layout.groups[g]
             dim = grp.shape[0]
-            pos = pencil_from_function(layout, lambda v: DEFAULT_EPS * np.eye(dim) - v[g])
-            self.blocks.append(block(pos, np.zeros((dim, dim))))
-            i, j = np.triu_indices(dim)
-            x0[grp.offset + np.flatnonzero(i == j)] = min(1.0, (DEFAULT_EPS + prob.box) / 2)
+            i, j = layout.triu[g]
+            coords = grp.offset + np.arange(grp.size)
+            a = np.zeros((self.nz, dim, dim))
+            a[coords, i, j] = a[coords, j, i] = -1.0
+            self.blocks.append((DEFAULT_EPS * np.eye(dim), a))
+            x0[coords[i == j]] = min(1.0, (DEFAULT_EPS + prob.box) / 2)
 
         # start just inside the pencil block: t below -lambda_max(F(x0))
         lmax = float(np.linalg.eigvalsh(prob.pencil.evaluate_coords(x0))[-1])
@@ -326,23 +327,24 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
     while iterations < opts.max_iter:
         try:
             g_phi, h_phi, ys = model.derivatives(pt)
-            grad = c_obj / mu + g_phi
             h_phi.flat[::model.nz + 1] += 1e-12
+            if iterations == 0:
+                # the affine-scaling ray H^{-1} e_t raises t the most over the
+                # Dikin ellipsoid, whatever mu: try its far end before the
+                # Newton step, which a witness there makes unneeded
+                ray = np.linalg.solve(h_phi, -c_obj)
+                top = float(np.max(model.ray_rates(pt, ys, ray)))
+                end = audited_end(ray, top) if 0 < top < np.inf else None
+                if end is not None:
+                    (pt, witness, report), status, iterations = end, FEASIBLE, 1
+                    break
+            grad = c_obj / mu + g_phi
             step = np.linalg.solve(h_phi, -grad)
         except np.linalg.LinAlgError as exc:
             reason = f"numerical breakdown in a Newton step: {exc}"
             break
         decrement2 = float(-grad @ step)
         iterations += 1
-        if iterations == 1:
-            # the affine-scaling ray H^{-1} e_t raises t the most over the
-            # Dikin ellipsoid, whatever mu: try its far end first
-            ray = np.linalg.solve(h_phi, -c_obj)
-            top = float(np.max(model.ray_rates(pt, ys, ray)))
-            end = audited_end(ray, top) if 0 < top < np.inf else None
-            if end is not None:
-                (pt, witness, report), status = end, FEASIBLE
-                break
         centered = decrement2 <= 0 or decrement2 / 2.0 <= NEWTON_TOL
         if not centered:
             delta = model.ray_rates(pt, ys, step)

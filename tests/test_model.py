@@ -196,6 +196,42 @@ class TestStackedCalls:
         assert np.array_equal(psi(ys), 2.5 * np.tanh(ys))
         assert psi(np.zeros((0, 2))).shape == (0, 2)
 
+    def test_undeclared_rows_may_be_flat_shaped_or_scalar(self):
+        # each row follows the one-vector rule, and fn is called once per row
+        calls = []
+
+        def jac(y):
+            calls.append(y.shape)
+            j = np.array([[1.0, y[0], 0.0], [y[1], 2.0, y[2]]])
+            return j.ravel() if y[0] > 0 else j
+
+        ys = np.random.default_rng(5).uniform(-1.0, 1.0, (8, 3))
+        assert (ys[:, 0] > 0).any() and (ys[:, 0] <= 0).any()
+        psi = NonlinearFn(fn=lambda y: y[:2], n_y=3, n_psi=2, jacobian=jac)
+        assert np.array_equal(psi.jac(ys), np.array(
+            [[[1.0, y[0], 0.0], [y[1], 2.0, y[2]]] for y in ys]))
+        assert calls == [(3,)] * 8
+        psi = NonlinearFn(fn=lambda y: float(np.sin(y[0])), n_y=3, n_psi=1)
+        assert np.array_equal(psi(ys), np.sin(ys[:, :1]))
+
+    @pytest.mark.parametrize("bad, message", [
+        (lambda j: j.T, r"Jacobian returned shape \(3, 2\), expected \(2, 3\)"),
+        (lambda j: j.ravel()[:5], r"Jacobian returned shape \(5,\), expected \(2, 3\)"),
+    ], ids=["transposed", "short"])
+    def test_undeclared_bad_row_raises(self, bad, message):
+        # one bad row among good ones; fn is still called once per row
+        calls = []
+
+        def jac(y):
+            calls.append(y.shape)
+            j = np.arange(6.0).reshape(2, 3) + y[0]
+            return bad(j) if len(calls) == 3 else j
+
+        psi = NonlinearFn(fn=lambda y: y[:2], n_y=3, n_psi=2, jacobian=jac)
+        with pytest.raises(linalg.DimensionError, match=message):
+            psi.jac(np.zeros((5, 3)))
+        assert len(calls) == 5
+
     def test_declared_psi_is_called_once_per_stack(self):
         calls = []
 

@@ -1,5 +1,7 @@
 """Tests for trajectory simulation and empirical rate measurement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,7 @@ class TestStackedSimulation:
             for result in sweep_pairs(cl, [zero_psi(1, 1), square], pairs, np.eye(1),
                                       **grid):
                 results.append(result)
+        assert own.value.step == (10 if domain == DISCRETE else 60)
         assert swept.value.step == own.value.step
         assert results == []
 
@@ -262,6 +265,65 @@ class TestStackedSimulation:
             traj = simulate_dt(cl, NonlinearFn(fn=fn, n_y=2, n_psi=1, vectorized=True),
                                x0, steps=8)
             assert np.array_equal(traj.states, ref.states)
+
+
+class TestStageMaps:
+    """The stepping loop against each step written out stage by stage."""
+
+    def loop(self, seed, domain, n_psi):
+        rng = np.random.default_rng(seed)
+        a = 0.4 * rng.normal(size=(3, 3)) - (np.eye(3) if domain == CONTINUOUS else 0.0)
+        cl = ClosedLoop(A_cl=a, B_cl=0.5 * rng.normal(size=(3, n_psi)),
+                        C=rng.normal(size=(2, 3)), domain=domain)
+        w = rng.normal(size=(2, n_psi))
+        psi = NonlinearFn(fn=lambda y: np.tanh(y @ w), n_y=2, n_psi=n_psi, vectorized=True)
+        return cl, psi, rng.uniform(-1.0, 1.0, (4, 3))
+
+    @pytest.mark.parametrize("n_psi", [1, 2])
+    @pytest.mark.parametrize("dt", [1e-3, 5e-3, 1e-2])
+    def test_ct_matches_stage_by_stage_rk4(self, n_psi, dt):
+        for seed in range(3):
+            cl, psi, x0 = self.loop(seed, CONTINUOUS, n_psi)
+
+            def f(x):
+                return x @ cl.A_cl.T + psi(x @ cl.C.T) @ cl.B_cl.T
+
+            x, ref = x0, [x0]
+            for _ in range(int(round(0.5 / dt))):
+                k1 = f(x)
+                k2 = f(x + 0.5 * dt * k1)
+                k3 = f(x + 0.5 * dt * k2)
+                k4 = f(x + dt * k3)
+                x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+                ref.append(x)
+            ref = np.array(ref)
+            traj = simulate_ct(cl, psi, x0, 0.5, dt)
+            np.testing.assert_allclose(traj.states, ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("n_psi", [1, 2])
+    def test_dt_matches_the_iterated_map(self, n_psi):
+        for seed in range(3):
+            cl, psi, x0 = self.loop(seed, DISCRETE, n_psi)
+            x, ref = x0, [x0]
+            for _ in range(40):
+                x = x @ cl.A_cl.T + psi(x @ cl.C.T) @ cl.B_cl.T
+                ref.append(x)
+            ref = np.array(ref)
+            traj = simulate_dt(cl, psi, x0, 40)
+            np.testing.assert_allclose(traj.states, ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("domain, stages", [(DISCRETE, 1), (CONTINUOUS, 4)])
+    def test_psi_is_called_once_per_stage(self, domain, stages):
+        # the full check of the first stage's output makes no second call
+        cl, psi, x0 = self.loop(0, domain, 2)
+        calls = []
+        counting = replace(psi, fn=lambda y: calls.append(y.shape) or psi.fn(y))
+        traj = (simulate_dt(cl, counting, x0, 7) if domain == DISCRETE
+                else simulate_ct(cl, counting, x0, 0.07, 1e-2))
+        assert calls == [(4, 2)] * stages * 7
+        assert traj.psi_evaluations == stages * 7
 
 
 class TestRateEstimate:
