@@ -6,7 +6,12 @@ certificate matrix P as the only decision variable (gains fixed); synthesis
 forms are affine in (W, Z, K_psi) and yield gains via K = Z W^{-1}.
 
 One table, ``_FORMS``, holds the grid domain x class (monotone is lowered to
-sector) x form, plus the single-block continuous-time comparison form.
+sector) x form, plus the single-block continuous-time comparison form.  A
+grid form is its domain's storage template (CT or DT x analysis or
+synthesis: the contraction inequality in P, or in W = P^{-1} after the
+congruence) plus its class's terms from ``_class_terms`` (the incremental
+quadratic constraint's multiplier Pi, or its image under diag(W, I)).  The
+templates never branch on the class.
 """
 
 from __future__ import annotations
@@ -57,137 +62,86 @@ def lower_monotone(nc: Monotone) -> SectorBounded:
 
 # Block functions take (closed loop or system, class, eta) and return a
 # function of the decision variables, by group name, giving the block matrix.
+# The four grid templates below hold the storage term alone; _compose adds
+# the class's terms to it.  G = C^T Gamma^T Theta, B_cl = B_psi + B K_psi.
 
-def _ct_lip_analysis(cl, nc, eta):
-    """Continuous-time Lipschitz analysis inequality, variable P.
+def _class_terms(m, nc, W=None):
+    """The class's incremental quadratic constraint as blocks of a form.
 
-    Blocks (n_x, n_psi):
-        [[<P A_cl> + 2 eta P + rho^2 C^T Theta_y C,  P B_cl],
-         [B_cl^T P,                                  -Theta_psi]]
+    Without W, the analysis multiplier Pi on blocks (n_x, n_psi):
+        Lipschitz: (0, 0) rho^2 C^T Theta_y C, (1, 1) -Theta_psi;
+        sector:    (0, 1) G, (1, 1) -2 Theta.
+    With W, (k, blocks): Pi's image after the congruence diag(W, I), on
+    blocks (n_x, n_psi, k), its rho^2 C^T Theta_y C Schur-complemented out:
+        Lipschitz: (0, 2) W C^T, (1, 1) -Theta_psi,
+                   (2, 2) -(1/rho^2) Theta_y^{-1}, and k = n_y;
+        sector:    (0, 1) W G, (1, 1) -2 Theta, and k = 0.
     """
-    return lambda P: linalg.assemble_sym([cl.n_x, cl.n_psi], {
-        (0, 0): (linalg.brack(P @ cl.A_cl) + 2 * eta * P
-                 + nc.rho ** 2 * cl.C.T @ nc.theta_y @ cl.C),
-        (0, 1): P @ cl.B_cl,
-        (1, 1): -nc.theta_psi,
-    })
+    if isinstance(nc, Lipschitz):
+        if W is None:
+            return {(0, 0): nc.rho ** 2 * m.C.T @ nc.theta_y @ m.C, (1, 1): -nc.theta_psi}
+        return m.n_y, {(0, 2): W @ m.C.T, (1, 1): -nc.theta_psi,
+                       (2, 2): -(linalg.inverse(nc.theta_y) / nc.rho ** 2)}
+    if W is None:
+        return {(0, 1): m.C.T @ nc.gamma.T @ nc.theta, (1, 1): -2 * nc.theta}
+    return 0, {(0, 1): W @ (m.C.T @ nc.gamma.T @ nc.theta), (1, 1): -2 * nc.theta}
 
 
-def _ct_lip_synthesis(sys, nc, eta):
-    """Continuous-time Lipschitz synthesis inequality, variables (W, Z, K_psi).
-
-    Blocks (n_x, n_psi, n_y):
-        [[<A W + B Z> + 2 eta W,  B_cl,        W C^T],
-         [B_cl^T,                 -Theta_psi,  0],
-         [C W,                    0,           -(1/rho^2) Theta_y^{-1}]]
-    with B_cl = B_psi + B K_psi affine in K_psi.
-    """
-    thy_inv = linalg.inverse(nc.theta_y) / nc.rho ** 2
-    return lambda W, Z, K_psi: linalg.assemble_sym([sys.n_x, sys.n_psi, sys.n_y], {
-        (0, 0): linalg.brack(sys.A @ W + sys.B @ Z) + 2 * eta * W,
-        (0, 1): sys.B_psi + sys.B @ K_psi,
-        (0, 2): W @ sys.C.T,
-        (1, 1): -nc.theta_psi,
-        (2, 2): -thy_inv,
-    })
+def _compose(sizes, storage, terms):
+    """The symmetric block matrix of storage + class terms, the storage term
+    first where both have a block; an absent block is never added as zero."""
+    blocks = dict(storage)
+    for key, b in terms.items():
+        blocks[key] = blocks[key] + b if key in blocks else b
+    return linalg.assemble_sym(sizes, blocks)
 
 
-def _dt_lip_analysis(cl, nc, eta):
-    """Discrete-time Lipschitz analysis inequality, variable P.
-
-    Blocks (n_x, n_psi):
-        [[A_cl^T P A_cl - eta^2 P + rho^2 C^T Theta_y C,  A_cl^T P B_cl],
-         [B_cl^T P A_cl,                  B_cl^T P B_cl - Theta_psi]]
-    Quadratic in A_cl, B_cl but affine in P.
-    """
-    return lambda P: linalg.assemble_sym([cl.n_x, cl.n_psi], {
-        (0, 0): (cl.A_cl.T @ P @ cl.A_cl - eta ** 2 * P
-                 + nc.rho ** 2 * cl.C.T @ nc.theta_y @ cl.C),
-        (0, 1): cl.A_cl.T @ P @ cl.B_cl,
-        (1, 1): cl.B_cl.T @ P @ cl.B_cl - nc.theta_psi,
-    })
-
-
-def _dt_lip_synthesis(sys, nc, eta):
-    """Discrete-time Lipschitz synthesis inequality, variables (W, Z, K_psi).
-
-    Blocks (n_x, n_psi, n_y, n_x):
-        [[-eta^2 W,  0,           W C^T,                    (A W + B Z)^T],
-         [0,         -Theta_psi,  0,                        B_cl^T],
-         [C W,       0,           -(1/rho^2) Theta_y^{-1},  0],
-         [A W + B Z, B_cl,        0,                        -W]]
-    """
-    thy_inv = linalg.inverse(nc.theta_y) / nc.rho ** 2
-    return lambda W, Z, K_psi: linalg.assemble_sym([sys.n_x, sys.n_psi, sys.n_y, sys.n_x], {
-        (0, 0): -eta ** 2 * W,
-        (0, 2): W @ sys.C.T,
-        (0, 3): np.swapaxes(sys.A @ W + sys.B @ Z, -1, -2),
-        (1, 1): -nc.theta_psi,
-        (1, 3): np.swapaxes(sys.B_psi + sys.B @ K_psi, -1, -2),
-        (2, 2): -thy_inv,
-        (3, 3): -W,
-    })
-
-
-def _ct_sector_analysis(cl, nc, eta):
-    """Continuous-time sector-bounded analysis inequality, variable P.
-
-    Blocks (n_x, n_psi):
-        [[<P A_cl> + 2 eta P,  P B_cl + G],
-         [B_cl^T P + G^T,      -2 Theta]]
-    with G = C^T Gamma^T Theta.
-    """
-    return lambda P: linalg.assemble_sym([cl.n_x, cl.n_psi], {
+def _ct_analysis(cl, nc, eta):
+    """CT analysis, variable P, blocks (n_x, n_psi), plus Pi:
+    [[<P A_cl> + 2 eta P, P B_cl], [B_cl^T P, 0]]."""
+    pi = _class_terms(cl, nc)
+    return lambda P: _compose([cl.n_x, cl.n_psi], {
         (0, 0): linalg.brack(P @ cl.A_cl) + 2 * eta * P,
-        (0, 1): P @ cl.B_cl + cl.C.T @ nc.gamma.T @ nc.theta,
-        (1, 1): -2 * nc.theta,
-    })
+        (0, 1): P @ cl.B_cl,
+    }, pi)
 
 
-def _ct_sector_synthesis(sys, nc, eta):
-    """Continuous-time sector-bounded synthesis inequality, variables (W, Z, K_psi).
-
-    Blocks (n_x, n_psi):
-        [[<A W + B Z> + 2 eta W,  B_cl + W G],
-         [(B_cl + W G)^T,         -2 Theta]]
-    """
-    return lambda W, Z, K_psi: linalg.assemble_sym([sys.n_x, sys.n_psi], {
-        (0, 0): linalg.brack(sys.A @ W + sys.B @ Z) + 2 * eta * W,
-        (0, 1): sys.B_psi + sys.B @ K_psi + W @ (sys.C.T @ nc.gamma.T @ nc.theta),
-        (1, 1): -2 * nc.theta,
-    })
-
-
-def _dt_sector_analysis(cl, nc, eta):
-    """Discrete-time sector-bounded analysis inequality, variable P.
-
-    Blocks (n_x, n_psi):
-        [[A_cl^T P A_cl - eta^2 P,  A_cl^T P B_cl + G],
-         [B_cl^T P A_cl + G^T,      B_cl^T P B_cl - 2 Theta]]
-    """
-    return lambda P: linalg.assemble_sym([cl.n_x, cl.n_psi], {
+def _dt_analysis(cl, nc, eta):
+    """DT analysis, variable P, blocks (n_x, n_psi), plus Pi:
+    [[A_cl^T P A_cl - eta^2 P, A_cl^T P B_cl], [B_cl^T P A_cl, B_cl^T P B_cl]]."""
+    pi = _class_terms(cl, nc)
+    return lambda P: _compose([cl.n_x, cl.n_psi], {
         (0, 0): cl.A_cl.T @ P @ cl.A_cl - eta ** 2 * P,
-        (0, 1): cl.A_cl.T @ P @ cl.B_cl + cl.C.T @ nc.gamma.T @ nc.theta,
-        (1, 1): cl.B_cl.T @ P @ cl.B_cl - 2 * nc.theta,
-    })
+        (0, 1): cl.A_cl.T @ P @ cl.B_cl,
+        (1, 1): cl.B_cl.T @ P @ cl.B_cl,
+    }, pi)
 
 
-def _dt_sector_synthesis(sys, nc, eta):
-    """Discrete-time sector-bounded synthesis inequality, variables (W, Z, K_psi).
+def _ct_synthesis(sys, nc, eta):
+    """CT synthesis, variables (W, Z, K_psi), blocks (n_x, n_psi, k), plus
+    the class's image: (0, 0) <A W + B Z> + 2 eta W, (0, 1) B_cl."""
+    def blocks(W, Z, K_psi):
+        k, terms = _class_terms(sys, nc, W)
+        return _compose([sys.n_x, sys.n_psi, k], {
+            (0, 0): linalg.brack(sys.A @ W + sys.B @ Z) + 2 * eta * W,
+            (0, 1): sys.B_psi + sys.B @ K_psi,
+        }, terms)
+    return blocks
 
-    Blocks (n_x, n_psi, n_x):
-        [[-eta^2 W,   W G,       (A W + B Z)^T],
-         [G^T W,      -2 Theta,  B_cl^T],
-         [A W + B Z,  B_cl,      -W]]
-    """
-    return lambda W, Z, K_psi: linalg.assemble_sym([sys.n_x, sys.n_psi, sys.n_x], {
-        (0, 0): -eta ** 2 * W,
-        (0, 1): W @ (sys.C.T @ nc.gamma.T @ nc.theta),
-        (0, 2): np.swapaxes(sys.A @ W + sys.B @ Z, -1, -2),
-        (1, 1): -2 * nc.theta,
-        (1, 2): np.swapaxes(sys.B_psi + sys.B @ K_psi, -1, -2),
-        (2, 2): -W,
-    })
+
+def _dt_synthesis(sys, nc, eta):
+    """DT synthesis, variables (W, Z, K_psi), blocks (n_x, n_psi, k, n_x),
+    plus the class's image: (0, 0) -eta^2 W, (0, 3) (A W + B Z)^T,
+    (1, 3) B_cl^T, (3, 3) -W."""
+    def blocks(W, Z, K_psi):
+        k, terms = _class_terms(sys, nc, W)
+        return _compose([sys.n_x, sys.n_psi, k, sys.n_x], {
+            (0, 0): -eta ** 2 * W,
+            (0, 3): np.swapaxes(sys.A @ W + sys.B @ Z, -1, -2),
+            (1, 3): np.swapaxes(sys.B_psi + sys.B @ K_psi, -1, -2),
+            (3, 3): -W,
+        }, terms)
+    return blocks
 
 
 def _ct_lip_conservative(sys, nc, eta):
@@ -197,8 +151,8 @@ def _ct_lip_conservative(sys, nc, eta):
     setting n_x = n_y = n_psi with B_psi = C = I, Theta_y = Theta_psi = I,
     and K_psi fixed to zero.
 
-    Relation to the full form, _ct_lip_synthesis, in that setting, with
-    S = <A W + B Z>:
+    Relation to the full form, _ct_synthesis with the Lipschitz terms, in
+    that setting, with S = <A W + B Z>:
     - The full form implies this one at the same point (W, Z). Its Schur
       complement is S + 2 eta W + I + rho^2 W^2, and
       I + rho^2 W^2 - 2 rho W = (I - rho W)^2 is PSD.
@@ -242,14 +196,14 @@ class _Form(NamedTuple):
 # For each (domain, class, form) the first row is the one auto_tag selects;
 # the conservative row follows its full form.
 _FORMS = {
-    CT_LIP_ANALYSIS: _Form(CONTINUOUS, Lipschitz, ("P",), _ct_lip_analysis),
-    CT_LIP_SYNTHESIS: _Form(CONTINUOUS, Lipschitz, ("W", "Z", "K_psi"), _ct_lip_synthesis),
-    DT_LIP_ANALYSIS: _Form(DISCRETE, Lipschitz, ("P",), _dt_lip_analysis),
-    DT_LIP_SYNTHESIS: _Form(DISCRETE, Lipschitz, ("W", "Z", "K_psi"), _dt_lip_synthesis),
-    CT_SEC_ANALYSIS: _Form(CONTINUOUS, SectorBounded, ("P",), _ct_sector_analysis),
-    CT_SEC_SYNTHESIS: _Form(CONTINUOUS, SectorBounded, ("W", "Z", "K_psi"), _ct_sector_synthesis),
-    DT_SEC_ANALYSIS: _Form(DISCRETE, SectorBounded, ("P",), _dt_sector_analysis),
-    DT_SEC_SYNTHESIS: _Form(DISCRETE, SectorBounded, ("W", "Z", "K_psi"), _dt_sector_synthesis),
+    CT_LIP_ANALYSIS: _Form(CONTINUOUS, Lipschitz, ("P",), _ct_analysis),
+    CT_LIP_SYNTHESIS: _Form(CONTINUOUS, Lipschitz, ("W", "Z", "K_psi"), _ct_synthesis),
+    DT_LIP_ANALYSIS: _Form(DISCRETE, Lipschitz, ("P",), _dt_analysis),
+    DT_LIP_SYNTHESIS: _Form(DISCRETE, Lipschitz, ("W", "Z", "K_psi"), _dt_synthesis),
+    CT_SEC_ANALYSIS: _Form(CONTINUOUS, SectorBounded, ("P",), _ct_analysis),
+    CT_SEC_SYNTHESIS: _Form(CONTINUOUS, SectorBounded, ("W", "Z", "K_psi"), _ct_synthesis),
+    DT_SEC_ANALYSIS: _Form(DISCRETE, SectorBounded, ("P",), _dt_analysis),
+    DT_SEC_SYNTHESIS: _Form(DISCRETE, SectorBounded, ("W", "Z", "K_psi"), _dt_synthesis),
     CT_LIP_CONSERVATIVE: _Form(CONTINUOUS, Lipschitz, ("W", "Z"), _ct_lip_conservative),
 }
 
@@ -260,8 +214,8 @@ ALL_TAGS = tuple(_FORMS)
 class LmiSpec:
     """A fully specified inequality instance: tag, system, class, and rate.
 
-    Monotone classes are lowered to their sector-bounded equivalent before
-    building.  Analysis tags additionally need gains to close the loop.
+    A monotone class is lowered to its sector-bounded equivalent once, when
+    the spec is made.  Analysis tags additionally need gains to close the loop.
     """
 
     tag: str
@@ -283,7 +237,9 @@ class LmiSpec:
             )
         if form.domain == CONTINUOUS and not eta > 0:
             raise PreconditionError(f"contraction rate must be positive, got {eta}")
-        if not isinstance(self.effective_class(), form.cls):
+        object.__setattr__(self, "_class", lower_monotone(self.nonlinearity)
+                           if isinstance(self.nonlinearity, Monotone) else self.nonlinearity)
+        if not isinstance(self._class, form.cls):
             wanted = ("a Lipschitz nonlinearity class" if form.cls is Lipschitz
                       else "a sector-bounded or monotone class")
             raise PreconditionError(f"tag {self.tag} requires {wanted}")
@@ -293,9 +249,7 @@ class LmiSpec:
         return _FORMS[self.tag].analysis
 
     def effective_class(self) -> NonlinearityClass:
-        if isinstance(self.nonlinearity, Monotone):
-            return lower_monotone(self.nonlinearity)
-        return self.nonlinearity
+        return self._class
 
     def build(self, gains: Gains | None = None) -> AffinePencil:
         """Build the pencil; analysis tags require gains, which close the

@@ -13,7 +13,6 @@ trajectory pairs through the weighted distance ||.||_P.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple, Optional
@@ -264,15 +263,17 @@ def sweep_pairs(cl: ClosedLoop, psis: Iterable[NonlinearFn], pairs, p,
     """Simulate both trajectories of each initial pair under each psi and
     measure their contraction under ||.||_P.
 
-    The whole sweep is one stacked simulation: the initial states are tiled
-    psi-major, and one vectorized evaluator calls psi j on block j of the
-    stack.  It is simulated in full before the first yield, so a divergence
-    under any psi raises before any result, at the first step at which any
-    trajectory of the sweep diverges.
+    P is checked first, before anything is simulated.  The whole sweep is
+    one stacked simulation: the initial states are tiled psi-major, and one
+    vectorized evaluator calls psi j on block j of the stack.  It is
+    simulated in full before the first yield, so a divergence under any psi
+    raises before any result, at the first step at which any trajectory of
+    the sweep diverges.
 
     Yields (psi, pair index, trajectory a, trajectory b, RateReport), psi by
     psi and pair by pair.
     """
+    p = _weight(p)
     sim, grid = (simulate_dt, (steps,)) if cl.domain == DISCRETE else (simulate_ct, (t_end, dt))
     psis = list(psis)
     x0 = np.array([x for pair in pairs for x in pair], dtype=float)
@@ -289,7 +290,6 @@ def sweep_pairs(cl: ClosedLoop, psis: Iterable[NonlinearFn], pairs, p,
 
     stack = sim(cl, NonlinearFn(fn=blocks, n_y=cl.n_y, n_psi=cl.n_psi, vectorized=True),
                 np.concatenate([x0] * len(psis)), *grid)
-    p = _weight(p)
     for j, psi in enumerate(psis):
         trajs = [Trajectory(stack.times, stack.states[:, j * rows + m], stack.domain,
                             stack.psi_evaluations) for m in range(rows)]
@@ -318,7 +318,6 @@ def certify_empirically(sys: LureSystem, gains: Gains, psis: Iterable[NonlinearF
     no psi, or every initial pair coincides.
     """
     cl = close_loop(sys, gains)
-    p = linalg.as_sym(p, "P")
     if initial_pairs is None:
         initial_pairs = random_pairs(sys.n_x, seed, n_pairs)
     if cl.domain == DISCRETE:
@@ -349,10 +348,9 @@ def write_trajectory_csv(traj: Trajectory, path):
     n = traj.states.shape[1]
     label = "k" if traj.domain == DISCRETE else "t"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow([label] + [f"x{i + 1}" for i in range(n)])
-        for t, row in zip(traj.times, traj.states):
-            w.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
+        np.savetxt(fh, np.column_stack([traj.times, traj.states]), fmt="%.17g",
+                   delimiter=",", header=",".join([label] + [f"x{i + 1}" for i in range(n)]),
+                   comments="")
 
 
 def write_trajectories(rows: list, csv_dir, plot, csv_name: str):

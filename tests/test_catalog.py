@@ -354,6 +354,20 @@ class TestMonotoneLowering:
         assert np.allclose(sec.gamma, gamma)
         assert np.allclose(sec.theta, np.linalg.inv(gamma))
 
+    @pytest.mark.parametrize("domain", [DISCRETE, CONTINUOUS])
+    def test_lowered_once_per_spec(self, domain, monkeypatch):
+        # the spec keeps its lowered class; building does not lower again
+        rng = np.random.default_rng(14)
+        sys = random_lure(rng, 3, 1, 2, 2, domain)
+        calls = []
+        monkeypatch.setattr(catalog, "lower_monotone",
+                            lambda nc: calls.append(nc) or lower_monotone(nc))
+        nc = Monotone(gamma=random_spd(rng, 2))
+        spec = LmiSpec(auto_tag(sys, nc, analysis=True), sys, nc, 0.5)
+        spec.build(random_gains(rng, sys))
+        assert isinstance(spec.effective_class(), SectorBounded)
+        assert len(calls) == 1
+
 
 class TestEquivalenceReplay:
     """Analysis and synthesis forms are negative semidefinite together.

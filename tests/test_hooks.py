@@ -89,6 +89,17 @@ def test_certify_reaches_simulate_through_module_globals(monkeypatch, domain, si
     assert len(rates) == 2
 
 
+def test_sweep_checks_p_before_simulating(monkeypatch):
+    sims = count_calls(monkeypatch, simulate, "simulate_dt")
+    sys_ = LureSystem(A=0.5 * np.eye(2), B=np.zeros((2, 1)), B_psi=np.ones((2, 1)),
+                      C=np.eye(2), domain=DISCRETE)
+    gains = Gains(K=np.zeros((1, 2)), K_psi=np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="P must be positive definite"):
+        simulate.certify_empirically(sys_, gains, [paper_psi(1)], np.diag([1.0, -1.0]),
+                                     eta=0.9, initial_pairs=[(np.ones(2), -np.ones(2))])
+    assert sims == []
+
+
 def test_cli_simulate_is_one_stacked_simulation(monkeypatch, tmp_path):
     sims = count_calls(monkeypatch, simulate, "simulate_dt")
     problem = dict(REFERENCE_PROBLEM, builtin_psi=["paper1", "paper2"])

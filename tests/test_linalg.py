@@ -93,6 +93,20 @@ class TestAssembly:
         assert np.array_equal(out, out.T)
         assert out[2, 0] == 2.0 and out[2, 1] == 3.0
 
+    def test_assemble_sym_size_zero_block_is_absent(self):
+        # a layout with an empty block, and no blocks keyed on it, is the
+        # layout without it bit for bit, -0.0 entries included
+        rng = np.random.default_rng(5)
+        a, c = rng.normal(size=(3, 2, 2)), rng.normal(size=(3, 2, 1))
+        b, d = np.array([[-0.0, 1.5], [-0.0, -0.0]]), -np.eye(1)
+        with_empty = linalg.assemble_sym([2, 1, 0, 2], {
+            (0, 0): a, (0, 1): c, (0, 3): b, (1, 1): d, (3, 3): -a})
+        without = linalg.assemble_sym([2, 1, 2], {
+            (0, 0): a, (0, 1): c, (0, 2): b, (1, 1): d, (2, 2): -a})
+        assert with_empty.tobytes() == without.tobytes()
+        assert linalg.assemble_sym([2, 1, 0], {(0, 0): a, (0, 1): c}).tobytes() \
+            == linalg.assemble_sym([2, 1], {(0, 0): a, (0, 1): c}).tobytes()
+
     def test_assemble_sym_rejects_lower_key(self):
         with pytest.raises(linalg.DimensionError):
             linalg.assemble_sym([1, 1], {(1, 0): np.eye(1)})
