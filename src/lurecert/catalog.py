@@ -322,8 +322,9 @@ def certify_gains(spec: LmiSpec, witness: dict) -> CertifiedGains:
     p = linalg.inverse(linalg.as_sym(witness["W"], "W"))
     gains = Gains(K=linalg.as_matrix(witness["Z"], "Z") @ p,
                   K_psi=witness.get("K_psi", np.zeros((m.n_u, m.n_psi))))
-    a_spec = LmiSpec(tag=auto_tag(m, spec.nonlinearity, analysis=True), system=m,
-                     nonlinearity=spec.nonlinearity, eta=spec.eta)
+    nc = spec.effective_class()  # a monotone class is lowered once, by spec
+    a_spec = LmiSpec(tag=auto_tag(m, nc, analysis=True), system=m, nonlinearity=nc,
+                     eta=spec.eta)
     _, blocks = a_spec._blocks(gains)
     margin = float(linalg.eigvals_sym(blocks(P=p))[-1])
     return CertifiedGains(gains, p, margin, margin < 0)

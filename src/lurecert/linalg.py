@@ -153,6 +153,16 @@ def is_pd(m, tol: float = TOL_PSD) -> tuple[bool, float]:
     return lmin > tol * scale, lmin
 
 
+def as_spd(a, name: str = "matrix") -> np.ndarray:
+    """``as_sym``, and positive definite by ``is_pd``; raises ValueError
+    naming lambda_min otherwise."""
+    s = as_sym(a, name)
+    ok, lmin = is_pd(s)
+    if not ok:
+        raise ValueError(f"{name} must be positive definite (lambda_min={lmin:.3e})")
+    return s
+
+
 def is_psd(m, tol: float = TOL_PSD) -> tuple[bool, float]:
     """Test M >= 0; returns (verdict, lambda_min)."""
     ok, lmax = is_nsd(-np.asarray(m, dtype=float), tol)

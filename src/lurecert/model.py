@@ -23,14 +23,6 @@ _DOMAINS = (CONTINUOUS, DISCRETE)
 RANK_RTOL = 1e-9
 
 
-def _spd(a, name: str) -> np.ndarray:
-    s = linalg.as_sym(a, name)
-    ok, lmin = linalg.is_pd(s)
-    if not ok:
-        raise ValueError(f"{name} must be positive definite (lambda_min={lmin:.3e})")
-    return s
-
-
 @dataclass(frozen=True)
 class LureSystem:
     """Open-loop plant data (A, B, B_psi, C) plus the time-domain tag.
@@ -150,8 +142,8 @@ class Lipschitz:
     def __post_init__(self):
         if not self.rho > 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
-        object.__setattr__(self, "theta_y", _spd(self.theta_y, "theta_y"))
-        object.__setattr__(self, "theta_psi", _spd(self.theta_psi, "theta_psi"))
+        object.__setattr__(self, "theta_y", linalg.as_spd(self.theta_y, "theta_y"))
+        object.__setattr__(self, "theta_psi", linalg.as_spd(self.theta_psi, "theta_psi"))
 
     @property
     def n_y(self) -> int:
@@ -175,7 +167,7 @@ class SectorBounded:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", linalg.as_matrix(self.gamma, "gamma"))
-        object.__setattr__(self, "theta", _spd(self.theta, "theta"))
+        object.__setattr__(self, "theta", linalg.as_spd(self.theta, "theta"))
         if self.gamma.shape[0] != self.theta.shape[0]:
             raise linalg.DimensionError(
                 f"gamma rows {self.gamma.shape[0]} must equal theta dim {self.theta.shape[0]}"
@@ -201,7 +193,7 @@ class Monotone:
     gamma: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", _spd(self.gamma, "gamma"))
+        object.__setattr__(self, "gamma", linalg.as_spd(self.gamma, "gamma"))
 
     @property
     def n_y(self) -> int:

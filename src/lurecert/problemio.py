@@ -21,7 +21,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -36,6 +36,8 @@ SCHEMA_VERSION = 1
 _MATRIX = {"type": "array", "minItems": 1}
 # what the rows of a matrix must be, validated only to word an error `_check_rows` found
 _ROWS = {"items": {"type": "array", "minItems": 1, "items": {"type": "number"}}}
+# the class of each nonlinearity variant, whose fields a file gives exactly
+_VARIANTS = {"lipschitz": Lipschitz, "sector": SectorBounded, "monotone": Monotone}
 
 PROBLEM_SCHEMA = {
     "type": "object",
@@ -59,7 +61,7 @@ PROBLEM_SCHEMA = {
             "type": "object",
             "required": ["variant"],
             "properties": {
-                "variant": {"enum": ["lipschitz", "sector", "monotone"]},
+                "variant": {"enum": list(_VARIANTS)},
                 "rho": {"type": "number"},
                 "theta_y": _MATRIX,
                 "theta_psi": _MATRIX,
@@ -136,11 +138,8 @@ def _mat(doc, key):
 
 def _nonlinearity(doc) -> NonlinearityClass:
     variant = doc["variant"]
-    needed = {
-        "lipschitz": ("rho", "theta_y", "theta_psi"),
-        "sector": ("gamma", "theta"),
-        "monotone": ("gamma",),
-    }[variant]
+    cls = _VARIANTS[variant]
+    needed = [f.name for f in fields(cls)]
     missing = [k for k in needed if k not in doc]
     if missing:
         raise ProblemFileError(
@@ -150,12 +149,7 @@ def _nonlinearity(doc) -> NonlinearityClass:
         raise ProblemFileError(
             f"nonlinearity variant {variant!r} has unexpected fields {sorted(extra)}")
     try:
-        if variant == "lipschitz":
-            return Lipschitz(rho=float(doc["rho"]), theta_y=_mat(doc, "theta_y"),
-                             theta_psi=_mat(doc, "theta_psi"))
-        if variant == "sector":
-            return SectorBounded(gamma=_mat(doc, "gamma"), theta=_mat(doc, "theta"))
-        return Monotone(gamma=_mat(doc, "gamma"))
+        return cls(**{k: float(doc[k]) if k == "rho" else _mat(doc, k) for k in needed})
     except ValueError as exc:
         raise ProblemFileError(f"nonlinearity: {exc}") from exc
 

@@ -14,8 +14,8 @@ trajectory pairs through the weighted distance ||.||_P.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple, Optional
+from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -68,24 +68,21 @@ class Trajectory:
         object.__setattr__(self, "states", x)
 
 
-def _checked_once(psi: NonlinearFn, shape: tuple):
-    """psi for a loop of calls on stacks of one size, whose outputs must have
-    ``shape``.  The first call goes through ``NonlinearFn.__call__`` and all
-    its checks.  If psi is declared vectorized and that output was a float
-    ndarray, later calls call ``psi.fn`` directly.  Every call compares the
-    output's shape, so no wrong-shaped output broadcasts on."""
-
-    def first(y):
-        nonlocal evaluate
-        raw = psi.fn(y)
-        out = replace(psi, fn=lambda _: raw)(y)  # checks raw, no second call
-        evaluate = psi.fn if type(raw) is np.ndarray and raw.dtype == float else psi
-        return out
-
-    evaluate = first if psi.vectorized else psi
+def _evaluator(psi: NonlinearFn, cl: ClosedLoop, rows: int):
+    """psi as called on each stage's block of ``rows`` input rows.  psi's
+    (n_y, n_psi) is checked against the loop's here, before any call.  A
+    declared psi's ``fn`` is called directly, an undeclared one through
+    ``NonlinearFn.__call__``; every output is converted to float and its
+    shape compared, so no wrong-shaped output broadcasts on."""
+    if (psi.n_y, psi.n_psi) != (cl.n_y, cl.n_psi):
+        raise linalg.DimensionError(
+            f"psi {psi.name!r} has (n_y, n_psi) = ({psi.n_y}, {psi.n_psi}), "
+            f"but the loop has ({cl.n_y}, {cl.n_psi})")
+    f = psi.fn if psi.vectorized else psi
+    shape = (rows, cl.n_psi)
 
     def call(y):
-        out = evaluate(y)
+        out = np.asarray(f(y), dtype=float)
         if out.shape != shape:
             raise linalg.DimensionError(f"evaluator returned shape {out.shape}, expected {shape}")
         return out
@@ -117,34 +114,44 @@ def _rk4_maps(cl: ClosedLoop, dt: float):
     return gs, x + dt * sum(b_s * k for b_s, k in zip(b, ks))
 
 
-def _simulate(cl: ClosedLoop, psi: NonlinearFn, x0, times: np.ndarray, gs: list,
-              result: np.ndarray) -> Trajectory:
+def _simulate(cl: ClosedLoop, psi: NonlinearFn | Sequence[NonlinearFn], x0,
+              times: np.ndarray, gs: list, result: np.ndarray) -> Trajectory:
     """The stepping loop of both simulators, on the grid ``times`` for the
     (N, n_x) stack of states X, in one (N, n_x + S n_psi) block
     Z = [X | P_1 | ... | P_S].  Stage s sets
     P_s = psi(Z[:, :n_x + (s - 1) n_psi] @ gs[s - 1]), and the step ends with
     X(k+1) = Z @ result: S + 1 matmuls on maps fixed for the simulation.
-    psi is checked in full on the first stage only (see ``_checked_once``).
+    psi is one ``NonlinearFn`` or a sequence of k, which splits the stack
+    into k equal row blocks: psi j is called on block j of each stage's
+    input and writes block j of its columns of Z (see ``_evaluator``).
     One x0 is a stack of one."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.ndim > 2 or x0.shape[-1:] != (cl.n_x,):
         raise linalg.DimensionError(
             f"x0 has shape {x0.shape}, expected ({cl.n_x},) or (N, {cl.n_x})")
+    psis = [psi] if isinstance(psi, NonlinearFn) else list(psi)
     n, m = cl.n_x, cl.n_psi
     states = np.empty((len(times),) + x0.shape)
     states[0] = x0
     xs = states.reshape(len(times), -1, n)
     z = np.empty((xs.shape[1], n + len(gs) * m))
+    if not psis or len(z) % len(psis):
+        raise linalg.DimensionError(
+            f"a stack of {len(z)} states does not split into {len(psis)} equal blocks")
+    rows = len(z) // len(psis)
+    blocks = [(slice(j * rows, (j + 1) * rows), _evaluator(f, cl, rows))
+              for j, f in enumerate(psis)]
     x = z[:, :n]
     x[...] = xs[0]
     # (input columns, input map, output columns) of each stage, as views of z
     stages = [(z[:, :n + s * m], g, z[:, n + s * m:n + (s + 1) * m])
               for s, g in enumerate(gs)]
-    psi_of = _checked_once(psi, (len(z), m))
     with np.errstate(over="ignore", invalid="ignore"):  # DivergenceError reports it
         for k in range(1, len(times)):
-            for y, g, p in stages:
-                p[...] = psi_of(y @ g)
+            for zs, g, p in stages:
+                y = zs @ g
+                for block, psi_of in blocks:
+                    p[block] = psi_of(y[block])
             np.matmul(z, result, out=xs[k])
             if not np.isfinite(xs[k]).all():
                 raise DivergenceError(k)
@@ -153,9 +160,11 @@ def _simulate(cl: ClosedLoop, psi: NonlinearFn, x0, times: np.ndarray, gs: list,
                       psi_evaluations=len(gs) * (len(times) - 1))
 
 
-def simulate_dt(cl: ClosedLoop, psi: NonlinearFn, x0, steps: int) -> Trajectory:
+def simulate_dt(cl: ClosedLoop, psi: NonlinearFn | Sequence[NonlinearFn], x0,
+                steps: int) -> Trajectory:
     """Iterate x(k+1) = A_cl x(k) + B_cl psi(C x(k)) for ``steps`` steps from
-    x0, one (n_x,) state or an (N, n_x) stack."""
+    x0, one (n_x,) state or an (N, n_x) stack.  psi is one ``NonlinearFn``,
+    or a sequence of k for k equal row blocks of the stack."""
     if cl.domain != DISCRETE:
         raise ValueError("simulate_dt requires a discrete-time loop")
     if steps < 1:
@@ -164,10 +173,11 @@ def simulate_dt(cl: ClosedLoop, psi: NonlinearFn, x0, steps: int) -> Trajectory:
                      np.vstack([cl.A_cl.T, cl.B_cl.T]))
 
 
-def simulate_ct(cl: ClosedLoop, psi: NonlinearFn, x0, t_end: float,
-                dt: float) -> Trajectory:
+def simulate_ct(cl: ClosedLoop, psi: NonlinearFn | Sequence[NonlinearFn], x0,
+                t_end: float, dt: float) -> Trajectory:
     """Integrate xdot = A_cl x + B_cl psi(C x) with fixed-step RK4 from x0,
-    one (n_x,) state or an (N, n_x) stack."""
+    one (n_x,) state or an (N, n_x) stack.  psi is one ``NonlinearFn``, or
+    a sequence of k for k equal row blocks of the stack."""
     if cl.domain != CONTINUOUS:
         raise ValueError("simulate_ct requires a continuous-time loop")
     if not dt > 0:
@@ -201,18 +211,10 @@ class RateReport:
 
 
 class _Weight(NamedTuple):
-    """A weight P that ``_weight`` has symmetrised and checked positive
-    definite."""
+    """A weight P that ``linalg.as_spd`` has symmetrised and checked
+    positive definite."""
 
     p: np.ndarray
-
-
-def _weight(p) -> _Weight:
-    p = linalg.as_sym(p, "P")
-    ok, _ = linalg.is_pd(p)
-    if not ok:
-        raise ValueError("P must be positive definite")
-    return _Weight(p)
 
 
 def rate_estimate(traj1: Trajectory, traj2: Trajectory, p) -> RateReport:
@@ -220,7 +222,7 @@ def rate_estimate(traj1: Trajectory, traj2: Trajectory, p) -> RateReport:
     leaving out steps whose distance is at the degeneracy or rounding floor.
     P is checked here unless it comes as a ``_Weight``, which ``sweep_pairs``
     checks once for all its pairs."""
-    p = (p if isinstance(p, _Weight) else _weight(p)).p
+    p = p.p if isinstance(p, _Weight) else linalg.as_spd(p, "P")
     if traj1.states.shape != traj2.states.shape or not np.array_equal(
             traj1.times, traj2.times):
         raise linalg.DimensionError("trajectories must share an identical grid")
@@ -264,32 +266,22 @@ def sweep_pairs(cl: ClosedLoop, psis: Iterable[NonlinearFn], pairs, p,
     measure their contraction under ||.||_P.
 
     P is checked first, before anything is simulated.  The whole sweep is
-    one stacked simulation: the initial states are tiled psi-major, and one
-    vectorized evaluator calls psi j on block j of the stack.  It is
-    simulated in full before the first yield, so a divergence under any psi
-    raises before any result, at the first step at which any trajectory of
-    the sweep diverges.
+    one stacked simulation: the initial states are tiled psi-major, and
+    psi j is called on row block j of the stack.  It is simulated in full
+    before the first yield, so a divergence under any psi raises before any
+    result, at the first step at which any trajectory of the sweep diverges.
 
     Yields (psi, pair index, trajectory a, trajectory b, RateReport), psi by
     psi and pair by pair.
     """
-    p = _weight(p)
+    p = _Weight(linalg.as_spd(p, "P"))
     sim, grid = (simulate_dt, (steps,)) if cl.domain == DISCRETE else (simulate_ct, (t_end, dt))
     psis = list(psis)
     x0 = np.array([x for pair in pairs for x in pair], dtype=float)
     rows = len(x0)
     if not rows or not psis:
         return
-    calls = [_checked_once(psi, (rows, cl.n_psi)) for psi in psis]
-    values = np.empty((len(psis) * rows, cl.n_psi))
-
-    def blocks(y):
-        for j, call in enumerate(calls):
-            values[j * rows:(j + 1) * rows] = call(y[j * rows:(j + 1) * rows])
-        return values
-
-    stack = sim(cl, NonlinearFn(fn=blocks, n_y=cl.n_y, n_psi=cl.n_psi, vectorized=True),
-                np.concatenate([x0] * len(psis)), *grid)
+    stack = sim(cl, psis, np.concatenate([x0] * len(psis)), *grid)
     for j, psi in enumerate(psis):
         trajs = [Trajectory(stack.times, stack.states[:, j * rows + m], stack.domain,
                             stack.psi_evaluations) for m in range(rows)]

@@ -375,12 +375,6 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
                 trial = None
             if trial is not None:
                 pt = trial
-                if pt.z[n] >= stop:
-                    witness = unpack(pt.z[:n])
-                    report = audit(prob, witness, margin_min=opts.margin_min)
-                    if report.satisfied:
-                        status = FEASIBLE
-                        break
                 continue
         # centered, or a line search that accepted no trial: shrink mu
         gap = mu * model.nu

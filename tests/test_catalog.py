@@ -368,6 +368,24 @@ class TestMonotoneLowering:
         assert isinstance(spec.effective_class(), SectorBounded)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("domain", [DISCRETE, CONTINUOUS])
+    def test_certify_gains_reuses_the_lowered_class(self, domain, monkeypatch):
+        # the re-audit spec takes the synthesis spec's lowered class, and
+        # its margin is the one a freshly lowered class gives
+        rng = np.random.default_rng(15)
+        sys = random_lure(rng, 3, 1, 2, 2, domain)
+        nc = Monotone(gamma=random_spd(rng, 2))
+        spec = LmiSpec(auto_tag(sys, nc, analysis=False), sys, nc, 0.5)
+        witness = {"W": random_spd(rng, 3), "Z": rng.normal(size=(1, 3))}
+        calls = []
+        monkeypatch.setattr(catalog, "lower_monotone",
+                            lambda nc: calls.append(nc) or lower_monotone(nc))
+        design = certify_gains(spec, witness)
+        assert calls == []
+        fresh = LmiSpec(auto_tag(sys, nc, analysis=True), sys, nc, 0.5)
+        _, blocks = fresh._blocks(design.gains)
+        assert design.analysis_margin == float(linalg.eigvals_sym(blocks(P=design.P))[-1])
+
 
 class TestEquivalenceReplay:
     """Analysis and synthesis forms are negative semidefinite together.

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
-from lurecert import __version__, cli, nonlin, solver
+from lurecert import __version__, catalog, cli, nonlin, solver
 from lurecert.cli import main
 from lurecert.problemio import PAIRS_SCHEMA, PROBLEM_SCHEMA, ProblemFileError, parse_problem
 from lurecert.solver import FEASIBLE, FeasibilityResult
@@ -251,6 +251,19 @@ class TestSynthesizeCommand:
         assert "K" in doc and "P" in doc
         # the designed gains must satisfy the analysis form at P = W^{-1}
         assert doc["analysis_margin"] <= 0
+
+    def test_monotone_class_is_lowered_once(self, tmp_path, monkeypatch):
+        # one lowering for the synthesis spec, none for its re-audit
+        lower = catalog.lower_monotone
+        calls = []
+        monkeypatch.setattr(catalog, "lower_monotone",
+                            lambda nc: calls.append(nc) or lower(nc))
+        doc = dict(DIAGONAL_DT, nonlinearity={"variant": "monotone", "gamma": [[0.2]]})
+        out = tmp_path / "report.json"
+        assert main(["synthesize", write_problem(tmp_path, doc), "--out", str(out),
+                     "--quiet"]) == 0
+        assert json.loads(out.read_text())["analysis_margin"] < 0
+        assert len(calls) == 1
 
     def test_failed_reaudit_is_undetermined(self, tmp_path):
         # The single-block form is feasible here but certifies nothing: the

@@ -184,6 +184,14 @@ class TestEigen:
         assert linalg.is_psd(np.diag([1.0, 0.0]))[0]
         assert not linalg.is_psd(np.diag([1.0, -1.0]))[0]
 
+    def test_as_spd_symmetrizes_or_names_lambda_min(self):
+        m = np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]])
+        s = linalg.as_spd(m, "P")
+        assert np.array_equal(s, s.T) and np.array_equal(s, linalg.as_sym(m))
+        with pytest.raises(ValueError,
+                           match=r"P must be positive definite \(lambda_min=-1\.000e\+00\)"):
+            linalg.as_spd(np.diag([1.0, -1.0]), "P")
+
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             linalg.is_nsd(np.eye(2), tol=-1.0)

@@ -254,6 +254,52 @@ class TestStackedSimulation:
             list(sweep_pairs(cl, [late, paper_psi(2)], pairs, np.eye(3), **grid))
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("domain", [DISCRETE, CONTINUOUS])
+    def test_psi_sequence_matches_one_run_per_block(self, domain):
+        # k psis split the stack into k equal row blocks, psi j on block j
+        cl = self.loops()[domain == CONTINUOUS]
+        grid = (30,) if domain == DISCRETE else (0.3, 1e-2)
+        sim = simulate_dt if domain == DISCRETE else simulate_ct
+        undeclared = NonlinearFn(fn=lambda y: np.array([0.4 * np.sin(y[0] - y[1])]),
+                                 n_y=2, n_psi=1, name="undeclared")
+        psis = [paper_psi(2), undeclared, zero_psi(2, 1)]
+        x0 = np.random.default_rng(7).uniform(-1.0, 1.0, (6, 3))
+        stack = sim(cl, psis, x0, *grid)
+        assert stack.states.shape == (len(stack.times), 6, 3)
+        for j, psi in enumerate(psis):
+            one = sim(cl, psi, x0[2 * j:2 * j + 2], *grid)
+            np.testing.assert_allclose(stack.states[:, 2 * j:2 * j + 2], one.states,
+                                       rtol=1e-13, atol=1e-13 * np.abs(one.states).max())
+            assert stack.psi_evaluations == one.psi_evaluations
+        assert np.array_equal(sim(cl, [paper_psi(2)], x0, *grid).states,
+                              sim(cl, paper_psi(2), x0, *grid).states)
+
+    def test_psi_sequence_must_split_the_stack(self):
+        cl, _ = self.loops()
+        x0 = np.zeros((5, 3))
+        two = [paper_psi(1), paper_psi(2)]
+        for psis, x in ((two, x0), ([], x0), (two, x0[0])):
+            with pytest.raises(linalg.DimensionError,
+                               match=rf"stack of {len(np.atleast_2d(x))} states does not "
+                                     rf"split into {len(psis)} equal blocks"):
+                simulate_dt(cl, psis, x, steps=3)
+
+    @pytest.mark.parametrize("domain", [DISCRETE, CONTINUOUS])
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_psi_of_other_dims_raises_before_any_call(self, domain, vectorized):
+        cl = self.loops()[domain == CONTINUOUS]
+        grid = {"steps": 5} if domain == DISCRETE else {"t_end": 0.05, "dt": 1e-2}
+        pairs = random_pairs(3, seed=5, n_pairs=2)
+        calls = []
+        for n_y, n_psi in ((3, 1), (2, 2)):
+            wrong = NonlinearFn(fn=lambda y: calls.append(1) or y[..., :1], n_y=n_y,
+                                n_psi=n_psi, name="wrong", vectorized=vectorized)
+            with pytest.raises(linalg.DimensionError,
+                               match=rf"psi 'wrong' has \(n_y, n_psi\) = \({n_y}, {n_psi}\), "
+                                     r"but the loop has \(2, 1\)"):
+                list(sweep_pairs(cl, [paper_psi(1), wrong], pairs, np.eye(3), **grid))
+        assert calls == []
+
     def test_declared_psi_without_float_arrays_stays_checked(self):
         # lists and int arrays are converted on every stage, as NonlinearFn does
         cl, _ = self.loops()
