@@ -12,6 +12,10 @@ synthesis: the contraction inequality in P, or in W = P^{-1} after the
 congruence) plus its class's terms from ``_class_terms`` (the incremental
 quadratic constraint's multiplier Pi, or its image under diag(W, I)).  The
 templates never branch on the class.
+
+``mode_certificate`` decides an analysis form "infeasible" without the
+solver when a closed-loop mode is slower than the rate, and
+``check_mode_certificate`` re-checks such a certificate from the model.
 """
 
 from __future__ import annotations
@@ -296,6 +300,87 @@ def auto_tag(system: LureSystem, nc: NonlinearityClass, analysis: bool) -> str:
     return next(tag for tag, form in _FORMS.items()
                 if (form.domain, form.cls, form.analysis)
                 == (system.domain, cls, bool(analysis)))
+
+
+# The mode certificate's slack tau: a mode is slower than the rate when
+# |lambda| >= eta (1 + tau) (DT) or Re lambda + eta >= tau max(1, eta) (CT).
+MODE_TOL = 1e-6
+# The relative eigen-residual a checked mode certificate may have:
+# ||A_cl v - lambda v|| <= MODE_RESID_TOL ||A_cl||_F ||v||.
+MODE_RESID_TOL = 1e-10
+
+
+class ModeCertificate(NamedTuple):
+    """A closed-loop mode slower than the rate: A_cl v = lambda v, and gap,
+    the distance of lambda past the rate with the slack tau, is >= 0."""
+
+    eigenvalue: complex
+    eigenvector: np.ndarray  # complex, unit norm
+    gap: float
+
+    def report(self) -> dict:
+        """JSON types: each complex number as its [re, im] pair."""
+        v = self.eigenvector
+        return {"eigenvalue": [self.eigenvalue.real, self.eigenvalue.imag],
+                "eigenvector": np.column_stack([v.real, v.imag]), "gap": self.gap}
+
+
+def _mode_gaps(domain: str, eta: float, lam):
+    """How far each eigenvalue lam of A_cl is past the rate eta, with the
+    slack MODE_TOL; >= 0 for a mode slower than the rate."""
+    if domain == DISCRETE:
+        return np.abs(lam) - eta * (1.0 + MODE_TOL)
+    return np.real(lam) + eta - MODE_TOL * max(1.0, eta)
+
+
+def mode_certificate(spec: LmiSpec, gains: Gains) -> ModeCertificate | None:
+    """A checked certificate that the analysis form ``spec`` has no P > 0 for
+    the loop closed with ``gains``, or None.
+
+    Every analysis form has A_cl^T P A_cl - eta^2 P + Pi_00 (DT) or
+    <P A_cl> + 2 eta P + Pi_00 (CT) in its top-left corner, with Pi_00 >= 0
+    (``_class_terms``).  At an eigenvector v of A_cl, v^H of that block v is
+    (|lambda|^2 - eta^2) v^H P v or 2 (Re lambda + eta) v^H P v, plus
+    v^H Pi_00 v >= 0: the form can hold only if A_cl / eta is Schur, or
+    A_cl + eta I is Hurwitz (the Lyapunov condition; Boyd, El Ghaoui, Feron &
+    Balakrishnan 1994).  A mode slower than the rate by the slack MODE_TOL
+    therefore rules out every P > 0.
+
+    Only a mode that stays past the rate under every perturbation of A_cl
+    the check allows is used: by Bauer-Fike, one within cond(V) times the
+    residual bound of its eigenvalue, V the eigenvectors.  A defective or
+    ill-conditioned mode near the rate is left to the solver.
+
+    ``gains`` must fit the system, as ``spec.problem(gains)`` checks."""
+    m = spec.system
+    domain, eta = m.domain, float(spec.eta)
+    a_cl = m.A + m.B @ gains.K
+    if not np.max(_mode_gaps(domain, eta, np.linalg.eigvals(a_cl))) >= 0:
+        return None
+    lam, vecs = np.linalg.eig(a_cl)
+    gaps = _mode_gaps(domain, eta, lam)
+    i = int(np.argmax(gaps))
+    spread = np.linalg.cond(vecs) * MODE_RESID_TOL * np.linalg.norm(a_cl)
+    if not gaps[i] >= spread:  # cond is infinite for a singular V
+        return None
+    cert = ModeCertificate(complex(lam[i]), vecs[:, i], float(gaps[i]))
+    return cert if check_mode_certificate(spec, gains, cert) else None
+
+
+def check_mode_certificate(spec: LmiSpec, gains: Gains, cert: ModeCertificate) -> bool:
+    """Re-check a mode certificate from the model alone, as ``solver.audit``
+    re-checks a witness: with A_cl = A + B K recomputed, v is finite and
+    nonzero, ||A_cl v - lambda v|| <= MODE_RESID_TOL ||A_cl||_F ||v||, and
+    lambda's gap to the rate, recomputed, is >= 0."""
+    m = spec.system
+    a_cl = m.A + m.B @ gains.K
+    lam, v = complex(cert.eigenvalue), np.asarray(cert.eigenvector, dtype=complex)
+    norm_v = float(np.linalg.norm(v))
+    if not (np.isfinite(lam) and np.all(np.isfinite(v)) and norm_v > 0):
+        return False
+    resid = float(np.linalg.norm(a_cl @ v - lam * v))
+    return bool(resid <= MODE_RESID_TOL * float(np.linalg.norm(a_cl)) * norm_v
+                and _mode_gaps(m.domain, float(spec.eta), lam) >= 0)
 
 
 class CertifiedGains(NamedTuple):

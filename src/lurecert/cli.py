@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__, linalg
-from .catalog import ALL_TAGS, LmiSpec, auto_tag, certify_gains
+from .catalog import ALL_TAGS, LmiSpec, auto_tag, certify_gains, mode_certificate
 from .demo import run_demo
 from .model import Lipschitz, Monotone, SectorBounded, close_loop
 from .nonlin import (
@@ -34,7 +34,8 @@ from .nonlin import (
 from .problemio import build_report, load_pairs, load_problem, write_report
 from .psilib import get_builtin
 from .simulate import DivergenceError, random_pairs, sweep_pairs, write_trajectories
-from .solver import FEASIBLE, INFEASIBLE, UNDETERMINED, SolveOptions, solve
+from .solver import (FEASIBLE, INFEASIBLE, UNDETERMINED, FeasibilityResult, SolveOptions,
+                     solve)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,16 +93,26 @@ def _spec(problem, tag: str, analysis: bool) -> LmiSpec:
 
 
 def _solve_analysis(problem, args, spec: LmiSpec):
-    """Solve the analysis inequality ``spec`` in P for the problem's gains."""
+    """Decide the analysis inequality ``spec`` in P for the problem's gains:
+    the solver's result and {}, or, when a checked closed-loop mode rules
+    out every P, "infeasible" with no witness and no Newton step, and the
+    report's ``certificate`` entry."""
     if problem.gains is None:
         raise UsageError(
             f"{args.command} requires a `gains` section in the problem file")
-    return solve(spec.problem(problem.gains), _solve_options(problem, args))
+    prob = spec.problem(problem.gains)
+    opts = _solve_options(problem, args)
+    cert = mode_certificate(spec, problem.gains)
+    if cert is None:
+        return solve(prob, opts), {}
+    return (FeasibilityResult(status=INFEASIBLE, witness={}, margin=None,
+                              positivity_margins={}, iterations=0, diagnostics={}),
+            {"certificate": cert.report()})
 
 
 def cmd_analyze(args, problem):
     spec = _spec(problem, args.theorem, analysis=True)
-    result = _solve_analysis(problem, args, spec)
+    result, certificate = _solve_analysis(problem, args, spec)
     return result.status, {
         "theorem": spec.tag,
         "eta": problem.eta,
@@ -109,6 +120,7 @@ def cmd_analyze(args, problem):
         "margin": result.margin,
         "positivity_margins": result.positivity_margins,
         "iterations": result.iterations,
+        **certificate,
     }
 
 
@@ -163,7 +175,8 @@ def cmd_simulate(args, problem):
              else random_pairs(n_x, _default_seed(args), n_pairs=1))
 
     # measure contraction against a certificate P from the analysis solve
-    result = _solve_analysis(problem, args, _spec(problem, "auto", analysis=True))
+    result, certificate = _solve_analysis(problem, args,
+                                          _spec(problem, "auto", analysis=True))
     p = result.witness["P"] if result.status == FEASIBLE else np.eye(n_x)
 
     rows = list(sweep_pairs(close_loop(problem.system, problem.gains), psis, pairs, p,
@@ -178,6 +191,7 @@ def cmd_simulate(args, problem):
                   for psi, i, _, _, rep in rows],
         "max_ratio": max(rep.max_ratio for *_, rep in rows),
         "max_energy_ratio": max(rep.max_energy_ratio for *_, rep in rows),
+        **certificate,
     }
 
 

@@ -110,6 +110,12 @@ def eig_sym(m) -> tuple[np.ndarray, np.ndarray]:
     if m.ndim > 2 and not np.isfinite(m).all():
         raise NumericError("eig_sym input contains non-finite entries")
     s = as_sym(m, "eig_sym input") if m.ndim <= 2 else _symmetrized(m, "eig_sym input")
+    return _audited_eigh(s)
+
+
+def _audited_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eig_sym`` of a finite matrix (or stack) that is already symmetric:
+    ``eigh`` with its residual and orthogonality audits."""
     w, v = np.linalg.eigh(s)
     n = s.shape[-1]
     scale = np.abs(s).max(axis=(-2, -1))
@@ -138,7 +144,7 @@ def is_nsd(m, tol: float = TOL_PSD) -> tuple[bool, float]:
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     s = as_sym(m, "is_nsd input")
-    lmax = float(eigvals_sym(s)[-1])
+    lmax = float(_audited_eigh(s)[0][-1])
     scale = max(1.0, float(np.abs(s).max()))
     return lmax <= tol * scale, lmax
 
@@ -148,7 +154,7 @@ def is_pd(m, tol: float = TOL_PSD) -> tuple[bool, float]:
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     s = as_sym(m, "is_pd input")
-    lmin = float(eigvals_sym(s)[0])
+    lmin = float(_audited_eigh(s)[0][0])
     scale = max(1.0, float(np.abs(s).max()))
     return lmin > tol * scale, lmin
 

@@ -20,7 +20,11 @@ the step's Hessian H.  It raises t the most over the Dikin ellipsoid and
 does not depend on mu (Dikin 1967; Boyd & Vandenberghe 2004, 9.5 and
 11.3).  Its far end is audited in the same way, and if it passes, the solve
 ends after one Newton step instead of first centering at the arbitrary
-starting mu.  Otherwise the path goes on as if the ray had not been tried.
+starting mu.  Otherwise, when max_iter allows two steps, the point 0.99 of
+the way to that ray's edge is factored and its own affine-scaling ray is
+tried the same way: a second Dikin step, counted as one Newton step.  If
+both fail, the path goes on from the start, with the start's derivatives,
+as if no ray had been tried.
 
 Every "feasible" verdict is re-checked by an independent eigenvalue audit
 that only uses the pencil and linalg, never the solver's internal state.
@@ -308,19 +312,40 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
     mu = max(1.0, abs(pt.z[n]))
     stop = max(MARGIN_STOP, 10 * opts.margin_min)
 
-    def audited_end(dz, top):
-        """The point 0.99 of the way from pt along dz to the domain's edge
-        at 1 / top, its witness and audit report, when t there reaches stop
-        and the witness passes the audit; else None."""
-        edge = 0.99 / top
-        if pt.z[n] + edge * dz[n] < stop:
+    def audited(z):
+        """The _Point at z, its witness and audit report, when t at z reaches
+        stop and the witness passes the audit; else None."""
+        if z[n] < stop:
             return None
-        trial = model.point(pt.z + edge * dz)
+        trial = model.point(z)
         if trial is None:
             return None
         witness = unpack(trial.z[:n])
         report = audit(prob, witness, margin_min=opts.margin_min)
         return (trial, witness, report) if report.satisfied else None
+
+    def affine_end(base, h, ys):
+        """The point 0.99 of the way from base to the domain's edge along
+        base's affine-scaling ray H^{-1} e_t, h the Hessian at base and ys
+        its whitened stacks; None when no finite positive rate ends the ray.
+        The ray raises t the most over the Dikin ellipsoid, whatever mu."""
+        ray = np.linalg.solve(h, -c_obj)
+        top = float(np.max(model.ray_rates(base, ys, ray)))
+        return base.z + (0.99 / top) * ray if 0 < top < np.inf else None
+
+    def second_ray(z):
+        """The audited end of the affine-scaling ray from z, or None; a
+        breakdown here leaves the path from the start as it is."""
+        base = model.point(z)
+        if base is None:
+            return None
+        try:
+            _, h, ys = model.derivatives(base)
+            h.flat[::model.nz + 1] += 1e-12
+            end = affine_end(base, h, ys)
+        except np.linalg.LinAlgError:
+            return None
+        return None if end is None else audited(end)
 
     iterations = 0
     status = reason = None
@@ -329,14 +354,17 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
             g_phi, h_phi, ys = model.derivatives(pt)
             h_phi.flat[::model.nz + 1] += 1e-12
             if iterations == 0:
-                # the affine-scaling ray H^{-1} e_t raises t the most over the
-                # Dikin ellipsoid, whatever mu: try its far end before the
-                # Newton step, which a witness there makes unneeded
-                ray = np.linalg.solve(h_phi, -c_obj)
-                top = float(np.max(model.ray_rates(pt, ys, ray)))
-                end = audited_end(ray, top) if 0 < top < np.inf else None
+                # try the far end of the start's affine-scaling ray, then of
+                # the ray from there, before the Newton step, which a
+                # witness on either makes unneeded
+                first = affine_end(pt, h_phi, ys)
+                end = None if first is None else audited(first)
+                if end is None and first is not None and opts.max_iter >= 2:
+                    iterations = 1
+                    end = second_ray(first)
                 if end is not None:
-                    (pt, witness, report), status, iterations = end, FEASIBLE, 1
+                    (pt, witness, report), status = end, FEASIBLE
+                    iterations += 1
                     break
             grad = c_obj / mu + g_phi
             step = np.linalg.solve(h_phi, -grad)
@@ -356,7 +384,7 @@ def solve(prob: FeasibilityProblem, opts: SolveOptions = SolveOptions()) -> Feas
                           "positive rate ends the ray in the domain")
                 break
             # t is linear along the ray: try its far end as the witness
-            end = audited_end(step, top)
+            end = audited(pt.z + (0.99 / top) * step)
             if end is not None:
                 (pt, witness, report), status = end, FEASIBLE
                 break

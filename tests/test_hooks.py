@@ -8,6 +8,7 @@ the hooks in a plain ``pytest`` run, which does not collect ``perfbench/``.
 """
 
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -116,3 +117,23 @@ def test_cli_reaches_its_layers_through_module_globals(monkeypatch, tmp_path):
     assert cli.main(["analyze", write_problem(tmp_path, REFERENCE_PROBLEM),
                      "--out", str(tmp_path / "report.json"), "--quiet"]) == 0
     assert [len(c) >= 1 for c in calls] == [True] * 4
+
+
+def test_a_certificate_decided_analysis_never_calls_the_solver(monkeypatch, tmp_path):
+    # x+ = 1.2 x + psi(x) at eta = 0.9: the mode 1.2 rules out every P
+    solves = count_calls(monkeypatch, solver, "solve")
+    problem = dict(REFERENCE_PROBLEM, system={"A": [[1.2]], "B": [[0.0]], "B_psi": [[1.0]],
+                                              "C": [[1.0]], "domain": "discrete"},
+                   nonlinearity={"variant": "lipschitz", "rho": 0.1, "theta_y": [[1.0]],
+                                 "theta_psi": [[1.0]]},
+                   gains={"K": [[0.0]], "K_psi": [[0.0]]}, builtin_psi=["zero"])
+    path, out = write_problem(tmp_path, problem), tmp_path / "report.json"
+    assert cli.main(["analyze", path, "--out", str(out), "--quiet"]) == 2
+    assert "certificate" in json.loads(out.read_text())
+    assert solves == []
+    assert cli.main(["simulate", path, "--steps", "5", "--out", str(out), "--quiet"]) == 0
+    report = json.loads(out.read_text())
+    assert report["certificate_status"] == solver.INFEASIBLE
+    assert report["P"] == [[1.0]]
+    assert "certificate" in report
+    assert solves == []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lurecert import linalg, solver
-from lurecert.catalog import LmiSpec
+from lurecert.catalog import LmiSpec, certify_gains
 from lurecert.model import Gains, Lipschitz
 from lurecert.pencil import AffinePencil, VariableLayout, pencil_from_function
 from lurecert.solver import (
@@ -151,6 +151,32 @@ class TestContract:
         assert res.diagnostics["early_exit"]
         assert audit(prob, res.witness, margin_min=SolveOptions().margin_min).satisfied
 
+    def test_a_slow_synthesis_ends_on_the_second_affine_scaling_ray(self):
+        # the barrier path took 17 Newton steps on this synthesis; the
+        # affine-scaling ray from the first ray's far end reaches the margin
+        spec = dt_lip_spec(3, "DT-Lip-synthesis", seed=2001)
+        prob = spec.problem()
+        res = solve(prob)
+        assert res.status == FEASIBLE
+        assert res.iterations == 2
+        assert res.diagnostics["early_exit"]
+        assert audit(prob, res.witness, margin_min=SolveOptions().margin_min).satisfied
+        assert certify_gains(spec, res.witness).certified
+
+    @pytest.mark.parametrize("max_iter, status", [(1, UNDETERMINED), (2, FEASIBLE)])
+    def test_one_step_never_tries_the_second_ray(self, monkeypatch, max_iter, status):
+        derivatives = _BarrierModel.derivatives
+        calls = []
+
+        def counting(self, pt):
+            calls.append(pt)
+            return derivatives(self, pt)
+
+        monkeypatch.setattr(solver._BarrierModel, "derivatives", counting)
+        res = solve(dt_lip_problem(3, "DT-Lip-synthesis", seed=2001),
+                    SolveOptions(max_iter=max_iter))
+        assert (res.status, res.iterations, len(calls)) == (status, max_iter, max_iter)
+
 
 class TestStructure:
     def test_unknown_positivity_group(self):
@@ -273,12 +299,17 @@ def count_cholesky(monkeypatch):
     return calls
 
 
-def dt_lip_problem(n_x, tag, seed=None):
-    """The solver table's DT-Lip instance at n_x, its plant drawn from
-    default_rng(seed), 1000 + n_x unless given: analyses use K = 0."""
+def dt_lip_spec(n_x, tag, seed=None):
+    """The solver table's DT-Lip spec at n_x, its plant drawn from
+    default_rng(seed), 1000 + n_x unless given."""
     sys = random_lure(np.random.default_rng(1000 + n_x if seed is None else seed),
                       n_x, 2, 2, 2, "discrete", stable=True)
-    spec = LmiSpec(tag, sys, Lipschitz(0.2, np.eye(2), np.eye(2)), 0.95)
+    return LmiSpec(tag, sys, Lipschitz(0.2, np.eye(2), np.eye(2)), 0.95)
+
+
+def dt_lip_problem(n_x, tag, seed=None):
+    """The feasibility problem of ``dt_lip_spec``: analyses use K = 0."""
+    spec = dt_lip_spec(n_x, tag, seed)
     return spec.problem(Gains(np.zeros((2, n_x)), np.zeros((2, 2)))
                         if spec.is_analysis else None)
 
@@ -495,20 +526,21 @@ def test_newton_step_budget(tag, n_x, status, budget):
 
 
 # Tight instances of the solver table, whose start's affine-scaling ray ends
-# short of the stopping margin: (tag, n_x, status, Newton steps, witness
-# digest), recorded before that ray was tried.  They must take the barrier
-# path as before, bit for bit.  The digest is the first 16 hex digits of the
-# SHA-256 of the witness's coordinate bytes, which another BLAS may round
-# differently.
+# short of the stopping margin, and so does the ray from there: (tag, n_x,
+# status, Newton steps, witness digest), the digests recorded before either
+# ray was tried.  They must take the barrier path as before, bit for bit,
+# plus one step for the second ray.  The digest is the first 16 hex digits
+# of the SHA-256 of the witness's coordinate bytes, which another BLAS may
+# round differently.
 PATH_PARITY = [
-    ("DT-Lip-analysis", 3, INFEASIBLE, 32, "cc8cefe5284d755f"),
-    ("DT-Lip-synthesis", 3, FEASIBLE, 15, "5b7889bbd598638f"),
-    ("DT-Lip-analysis", 6, INFEASIBLE, 47, "7d5630bd612a0bb0"),
-    ("DT-Lip-synthesis", 6, FEASIBLE, 17, "ea2499bc53b03044"),
-    ("DT-Lip-analysis", 8, INFEASIBLE, 46, "4024dec38463f9e9"),
-    ("DT-Lip-synthesis", 8, FEASIBLE, 18, "0b691314aa9bc858"),
-    ("DT-Lip-analysis", 10, INFEASIBLE, 50, "2a9f8be86807b85f"),
-    ("DT-Lip-synthesis", 10, INFEASIBLE, 44, "a2069f18a1a6fcec"),
+    ("DT-Lip-analysis", 3, INFEASIBLE, 33, "cc8cefe5284d755f"),
+    ("DT-Lip-synthesis", 3, FEASIBLE, 16, "5b7889bbd598638f"),
+    ("DT-Lip-analysis", 6, INFEASIBLE, 48, "7d5630bd612a0bb0"),
+    ("DT-Lip-synthesis", 6, FEASIBLE, 18, "ea2499bc53b03044"),
+    ("DT-Lip-analysis", 8, INFEASIBLE, 47, "4024dec38463f9e9"),
+    ("DT-Lip-synthesis", 8, FEASIBLE, 19, "0b691314aa9bc858"),
+    ("DT-Lip-analysis", 10, INFEASIBLE, 51, "2a9f8be86807b85f"),
+    ("DT-Lip-synthesis", 10, INFEASIBLE, 45, "a2069f18a1a6fcec"),
 ]
 
 
