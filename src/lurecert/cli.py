@@ -7,6 +7,11 @@ mismatch, diverging trajectory), 3 undetermined.  Each command returns
 (status, payload) and raises on every failure; only `main` loads the
 problem, writes the report and maps statuses (through `EXIT_CODES`) and
 exceptions to exit codes.
+
+`analyze` and `simulate` decide the analysis inequality by a checked
+closed-loop mode ("infeasible"), else by an audited P from the Hamiltonian
+(`riccati.analysis_witness`, "feasible" with 0 Newton steps), and only
+then by the barrier solver on the form's pencil.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .nonlin import (
 )
 from .problemio import build_report, load_pairs, load_problem, write_report
 from .psilib import get_builtin
+from .riccati import analysis_witness
 from .simulate import DivergenceError, random_pairs, sweep_pairs, write_trajectories
 from .solver import (FEASIBLE, INFEASIBLE, UNDETERMINED, FeasibilityResult, SolveOptions,
                      solve)
@@ -93,21 +99,29 @@ def _spec(problem, tag: str, analysis: bool) -> LmiSpec:
 
 
 def _solve_analysis(problem, args, spec: LmiSpec):
-    """Decide the analysis inequality ``spec`` in P for the problem's gains:
-    the solver's result and {}, or, when a checked closed-loop mode rules
-    out every P, "infeasible" with no witness and no Newton step, and the
-    report's ``certificate`` entry."""
-    if problem.gains is None:
+    """Decide the analysis inequality ``spec`` in P for the problem's gains,
+    cheapest evidence first: when a checked closed-loop mode rules out
+    every P, "infeasible" with no witness and no Newton step, and the
+    report's ``certificate`` entry; else an audited P from the Hamiltonian
+    (``riccati.analysis_witness``), with no Newton step and {}; else the
+    barrier solver's result on the form's pencil, and {}."""
+    gains = problem.gains
+    if gains is None:
         raise UsageError(
             f"{args.command} requires a `gains` section in the problem file")
-    prob = spec.problem(problem.gains)
+    # the form's preconditions, and coefficients that overflow, are
+    # reported before any verdict, as building the pencil would
+    _, blocks = spec._blocks(gains)
+    with np.errstate(over="ignore", invalid="ignore"):
+        linalg.as_matrix(blocks(P=np.eye(problem.system.n_x)), "the analysis form at P = I")
     opts = _solve_options(problem, args)
-    cert = mode_certificate(spec, problem.gains)
-    if cert is None:
-        return solve(prob, opts), {}
-    return (FeasibilityResult(status=INFEASIBLE, witness={}, margin=None,
-                              positivity_margins={}, iterations=0, diagnostics={}),
-            {"certificate": cert.report()})
+    cert = mode_certificate(spec, gains)
+    if cert is not None:
+        return (FeasibilityResult(status=INFEASIBLE, witness={}, margin=None,
+                                  positivity_margins={}, iterations=0, diagnostics={}),
+                {"certificate": cert.report()})
+    found = analysis_witness(spec, gains, opts.margin_min)
+    return (solve(spec.problem(gains), opts) if found is None else found), {}
 
 
 def cmd_analyze(args, problem):

@@ -153,17 +153,21 @@ def is_pd(m, tol: float = TOL_PSD) -> tuple[bool, float]:
     """Test M > 0; returns (verdict, lambda_min)."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    s = as_sym(m, "is_pd input")
+    return _pd(as_sym(m, "is_pd input"), tol)
+
+
+def _pd(s: np.ndarray, tol: float) -> tuple[bool, float]:
+    """``is_pd`` of a matrix that ``as_sym`` has already symmetrised."""
     lmin = float(_audited_eigh(s)[0][0])
     scale = max(1.0, float(np.abs(s).max()))
     return lmin > tol * scale, lmin
 
 
 def as_spd(a, name: str = "matrix") -> np.ndarray:
-    """``as_sym``, and positive definite by ``is_pd``; raises ValueError
-    naming lambda_min otherwise."""
+    """``as_sym``, and positive definite by ``is_pd``'s test, symmetrised
+    once; raises ValueError naming lambda_min otherwise."""
     s = as_sym(a, name)
-    ok, lmin = is_pd(s)
+    ok, lmin = _pd(s, TOL_PSD)
     if not ok:
         raise ValueError(f"{name} must be positive definite (lambda_min={lmin:.3e})")
     return s

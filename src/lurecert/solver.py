@@ -28,6 +28,10 @@ as if no ray had been tried.
 
 Every "feasible" verdict is re-checked by an independent eigenvalue audit
 that only uses the pencil and linalg, never the solver's internal state.
+
+An analysis form reaches the solver only when neither a closed-loop mode
+nor the Hamiltonian (``riccati.analysis_witness``, which audits its P by
+the rule of ``audit``) has decided it; synthesis always comes here.
 """
 
 from __future__ import annotations

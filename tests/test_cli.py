@@ -76,9 +76,9 @@ DIAGONAL_DT = {
     "gains": {"K": [[0.0, 0.0]], "K_psi": [[0.0]]},
 }
 
-# the reference analysis, feasible, cut to fewer Newton steps than its solve
-# takes (see test_truncated_premise); its solve ends on the second
-# affine-scaling ray, which one step leaves untried
+# the reference problem cut to fewer Newton steps than its synthesis solve
+# takes (see test_truncated_premise); its analysis takes none, since the
+# Hamiltonian decides it before the barrier path
 TRUNCATED = dict(REFERENCE_PROBLEM, solver={"max_iter": 1})
 
 
@@ -482,14 +482,15 @@ class TestExitCodes:
         (["simulate", "{ct}", "--t-end", "1e14"], 1, "Unable to allocate"),
         # a CT grid shorter than half a step has no steps
         (["simulate", "{ct}", "--t-end", "1e-4"], 1, "t_end = 0.0001 is less than half of dt"),
-        # a feasible analysis cut short before a centered bound decides nothing
-        (["analyze", "{truncated}"], 3, ""),
+        # a feasible synthesis cut short before a centered bound decides nothing
+        (["synthesize", "{truncated}"], 3, ""),
         (["analyze", "{no_steps}"], 1, "max_iter must be at least 1, got 0"),
         (["analyze", "{negative_steps}"], 1, "max_iter must be at least 1, got -5"),
-        # an overflowing pencil is numerical trouble, not a traceback
-        (["analyze", "{huge}"], 3, "error: pencil basis contains non-finite entries"),
+        # an overflowing form is numerical trouble, not a traceback
+        (["analyze", "{huge}"], 3,
+         "error: the analysis form at P = I contains non-finite entries"),
         (["simulate", "{huge}", "--steps", "5"], 3,
-         "error: pencil basis contains non-finite entries"),
+         "error: the analysis form at P = I contains non-finite entries"),
         # the seed drives only simulate's and check's draws
         (["analyze", "{problem}", "--seed", "5"], 1, "unrecognized arguments: --seed"),
         # entries that np.array would quietly turn into numbers, and a ragged row
@@ -548,8 +549,8 @@ class TestExitCodes:
         # the `truncated` rows mean "cut short" only while the full solve
         # takes more Newton steps than the cap
         problem = parse_problem(json.dumps(REFERENCE_PROBLEM))
-        spec = cli._spec(problem, "auto", analysis=True)
-        res = solver.solve(spec.problem(problem.gains))
+        spec = cli._spec(problem, "auto", analysis=False)
+        res = solver.solve(spec.problem())
         assert res.status == FEASIBLE
         assert res.iterations > TRUNCATED["solver"]["max_iter"]
 
@@ -672,7 +673,7 @@ class TestContract:
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "{problem}"], ["analyze", "{infeasible}"],
-        ["analyze", "{truncated}"], ["synthesize", "{problem}"],
+        ["synthesize", "{truncated}"], ["synthesize", "{problem}"],
         ["simulate", "{problem}", "--steps", "5"],
         ["check", "{problem}", "--psi", "paper2", "--samples", "200"],
         ["check", "{infeasible}", "--psi", "tanh", "--samples", "200"],

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from lurecert import cli, problemio, simulate, solver
+from lurecert import cli, pencil, problemio, riccati, simulate, solver
 from lurecert.model import CONTINUOUS, DISCRETE, Gains, LureSystem
 from lurecert.psilib import paper_psi, tanh_psi, zero_psi
 
@@ -71,8 +71,11 @@ def test_every_span_target_exists_and_records(tmp_path):
     with tracer.instrument():
         certify(DISCRETE)
         certify(CONTINUOUS)
-        assert cli.main(["analyze", write_problem(tmp_path, REFERENCE_PROBLEM),
-                         "--out", str(tmp_path / "report.json"), "--quiet"]) == 0
+        path = write_problem(tmp_path, REFERENCE_PROBLEM)
+        # the Hamiltonian decides the analysis; the synthesis reaches the solver
+        for command in ("analyze", "synthesize"):
+            assert cli.main([command, path, "--out", str(tmp_path / "report.json"),
+                             "--quiet"]) == 0
     recorded = {span["name"] for span in tracer.dump()}
     assert recorded >= {"problemio.load", "problemio.report", "solver.solve",
                         "solver.audit", "simulate.trajectory",
@@ -114,14 +117,28 @@ def test_cli_reaches_its_layers_through_module_globals(monkeypatch, tmp_path):
              count_calls(monkeypatch, problemio, "write_report"),
              count_calls(monkeypatch, solver, "solve"),
              count_calls(monkeypatch, solver, "audit")]
-    assert cli.main(["analyze", write_problem(tmp_path, REFERENCE_PROBLEM),
+    # a feasible analysis is decided without the solver, so synthesize
+    assert cli.main(["synthesize", write_problem(tmp_path, REFERENCE_PROBLEM),
                      "--out", str(tmp_path / "report.json"), "--quiet"]) == 0
     assert [len(c) >= 1 for c in calls] == [True] * 4
+
+
+def test_a_riccati_decided_analysis_builds_no_pencil(monkeypatch, tmp_path):
+    solves = count_calls(monkeypatch, solver, "solve")
+    pencils = count_calls(monkeypatch, pencil, "pencil_from_function")
+    witnesses = count_calls(monkeypatch, riccati, "analysis_witness")
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", write_problem(tmp_path, REFERENCE_PROBLEM),
+                     "--out", str(out), "--quiet"]) == 0
+    assert json.loads(out.read_text())["iterations"] == 0
+    assert (len(witnesses), solves, pencils) == (1, [], [])
 
 
 def test_a_certificate_decided_analysis_never_calls_the_solver(monkeypatch, tmp_path):
     # x+ = 1.2 x + psi(x) at eta = 0.9: the mode 1.2 rules out every P
     solves = count_calls(monkeypatch, solver, "solve")
+    pencils = count_calls(monkeypatch, pencil, "pencil_from_function")
+    witnesses = count_calls(monkeypatch, riccati, "analysis_witness")
     problem = dict(REFERENCE_PROBLEM, system={"A": [[1.2]], "B": [[0.0]], "B_psi": [[1.0]],
                                               "C": [[1.0]], "domain": "discrete"},
                    nonlinearity={"variant": "lipschitz", "rho": 0.1, "theta_y": [[1.0]],
@@ -136,4 +153,4 @@ def test_a_certificate_decided_analysis_never_calls_the_solver(monkeypatch, tmp_
     assert report["certificate_status"] == solver.INFEASIBLE
     assert report["P"] == [[1.0]]
     assert "certificate" in report
-    assert solves == []
+    assert (solves, pencils, witnesses) == ([], [], [])

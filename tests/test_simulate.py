@@ -167,9 +167,9 @@ class TestStackedSimulation:
         # P is the same for every pair, so a sweep checks it once
         cl, _ = self.loops()
         pairs = random_pairs(3, seed=2, n_pairs=3)
-        is_pd = linalg.is_pd
+        as_spd = linalg.as_spd
         calls = []
-        monkeypatch.setattr(linalg, "is_pd", lambda *a: calls.append(a) or is_pd(*a))
+        monkeypatch.setattr(linalg, "as_spd", lambda *a: calls.append(a) or as_spd(*a))
         rows = list(sweep_pairs(cl, [paper_psi(1), paper_psi(2)], pairs, np.eye(3), steps=5))
         assert len(rows) == 6
         assert len(calls) == 1
